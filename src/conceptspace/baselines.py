@@ -20,7 +20,7 @@ import numpy as np
 from .config import MODALITIES, ExperimentConfig
 from .data import Batch, DatasetSplit, translation_batch, whole_batch
 from .model import ConceptStage, DenseEncoder, GraphEncoder
-from .nn import MLP
+from .nn import MLP, Module
 from .rng import substream
 from .training import train_task_only
 
@@ -34,44 +34,33 @@ def _make_encoder(cfg, rng, modality, name, discretize):
     return DenseEncoder(cfg, rng, name)
 
 
-class _HeadedModel:
-    """Shared plumbing: parameters/grads aggregation and a trained flag."""
+class _HeadedModel(Module):
+    """Shared plumbing: the config and a trained flag."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.config = cfg
         self.trained = False
 
-    def parameters(self):
-        out = {}
-        for part in self._parts():
-            out.update(part.params())
-        return out
 
-    def grads(self):
-        out = {}
-        for part in self._parts():
-            out.update(part.grads())
-        return out
+class _JointModel(_HeadedModel):
+    """A model whose head reads every modality's space side by side."""
 
-    def zero_grad(self):
-        for part in self._parts():
-            part.zero_grad()
-
-    def rescale_states(self):
-        return {}
+    def predict(self, spaces: dict) -> np.ndarray:
+        missing = [m for m in MODALITIES if m not in spaces]
+        if missing:
+            raise ValueError(f"missing modalities {missing}; substitute them first")
+        return self.head.forward(np.concatenate([spaces[m] for m in MODALITIES],
+                                                axis=1))
 
 
 class UnimodalPlainModel(_HeadedModel):
-    def __init__(self, cfg, rng, modality):
+    def __init__(self, cfg, rng, modality, head_name: str = "head"):
         super().__init__(cfg)
         self.kind = f"mod_{modality}"
         self.modality = modality
         self.encoder = _make_encoder(cfg, rng, modality, f"enc.{modality}",
                                      discretize=False)
-        self.head = MLP(cfg.local_width, cfg.head_hidden, cfg.n_classes, rng, "head")
-
-    def _parts(self):
-        return (self.encoder, self.head)
+        self.head = MLP(cfg.local_width, cfg.head_hidden, cfg.n_classes, rng, head_name)
 
     def embed(self, batch: Batch, mode: str, rng=None):
         return self.encoder.forward(*self.encoder.inputs(batch), mode=mode, rng=rng)
@@ -96,18 +85,12 @@ class UnimodalCbmModel(_HeadedModel):
                                   cfg.rescale_momentum, cfg.rescale_eps)
         self.head = MLP(cfg.local_width, cfg.head_hidden, cfg.n_classes, rng, "head")
 
-    def _parts(self):
-        return (self.encoder, self.head)
-
     def forward(self, batch: Batch, mode: str, rng=None):
         z = self.encoder.forward(*self.encoder.inputs(batch), mode=mode, rng=rng)
         return self.head.forward(self.stage.forward(z, mode))
 
     def backward(self, d_logits):
         self.encoder.backward(self.stage.backward(self.head.backward(d_logits)))
-
-    def rescale_states(self):
-        return {self.stage.rescale.name: self.stage.rescale}
 
 
 class SimpleMultimodalModel(_HeadedModel):
@@ -122,9 +105,6 @@ class SimpleMultimodalModel(_HeadedModel):
         self.head = MLP(len(MODALITIES) * cfg.local_width, cfg.head_hidden,
                         cfg.n_classes, rng, "head")
 
-    def _parts(self):
-        return (*self.encoders.values(), self.head)
-
     def forward(self, batch: Batch, mode: str, rng=None):
         embs = [self.encoders[m].forward(*self.encoders[m].inputs(batch),
                                          mode=mode, rng=rng)
@@ -138,7 +118,7 @@ class SimpleMultimodalModel(_HeadedModel):
             self.encoders[m].backward(g[:, i * k:(i + 1) * k])
 
 
-class ConceptMultimodalModel(_HeadedModel):
+class ConceptMultimodalModel(_JointModel):
     """Local concepts per modality, concatenated into the head; the concepts
     stay modality-private (no shared space)."""
 
@@ -155,9 +135,6 @@ class ConceptMultimodalModel(_HeadedModel):
         self.head = MLP(len(MODALITIES) * cfg.local_width, cfg.head_hidden,
                         cfg.n_classes, rng, "head")
 
-    def _parts(self):
-        return (*self.encoders.values(), self.head)
-
     def local_concepts(self, batch: Batch, mode: str, rng=None):
         return {m: self.stages[m].forward(
                     self.encoders[m].forward(*self.encoders[m].inputs(batch),
@@ -165,9 +142,7 @@ class ConceptMultimodalModel(_HeadedModel):
                 for m in MODALITIES}
 
     def forward(self, batch: Batch, mode: str, rng=None):
-        local = self.local_concepts(batch, mode, rng)
-        return self.head.forward(np.concatenate([local[m] for m in MODALITIES],
-                                                axis=1))
+        return self.predict(self.local_concepts(batch, mode, rng))
 
     def backward(self, d_logits):
         g = self.head.backward(d_logits)
@@ -176,20 +151,9 @@ class ConceptMultimodalModel(_HeadedModel):
             gz = self.stages[m].backward(g[:, i * k:(i + 1) * k])
             self.encoders[m].backward(gz)
 
-    def rescale_states(self):
-        return {self.stages[m].rescale.name: self.stages[m].rescale
-                for m in MODALITIES}
-
     # representation space for retrieval / substitution: the local concepts
     def index_spaces(self, batch: Batch) -> dict:
         return self.local_concepts(batch, "eval")
-
-    def predict(self, spaces: dict) -> np.ndarray:
-        missing = [m for m in MODALITIES if m not in spaces]
-        if missing:
-            raise ValueError(f"missing modalities {missing}; substitute them first")
-        return self.head.forward(np.concatenate([spaces[m] for m in MODALITIES],
-                                                axis=1))
 
 
 def relative_representation(embedding: np.ndarray, anchor_emb: np.ndarray) -> np.ndarray:
@@ -204,38 +168,24 @@ def relative_representation(embedding: np.ndarray, anchor_emb: np.ndarray) -> np
     return sims if embedding.ndim == 2 else sims[0]
 
 
-class RelativeModel(_HeadedModel):
+class RelativeModel(_JointModel):
     """Anchor-similarity method. Holds the two frozen unimodal models, the
-    anchor ids and embeddings, and the head trained on relative vectors."""
+    anchor ids and embeddings, and the head trained on relative vectors.
+    The anchors are buffers: checkpointed, never trained."""
 
-    kind = "relative"
+    kind = name = "relative"
     concept_based = False
+    buffer_names = ("anchor_ids", "anchor_emb")
 
     def __init__(self, cfg, rng):
         super().__init__(cfg)
-        self.unimodal = {m: UnimodalPlainModel(cfg, rng, m) for m in MODALITIES}
+        self.unimodal = {m: UnimodalPlainModel(cfg, rng, m, head_name=f"head.{m}")
+                         for m in MODALITIES}
         self.head = MLP(len(MODALITIES) * cfg.anchor_count, cfg.head_hidden,
                         cfg.n_classes, rng, "rel_head")
         self.anchor_ids = np.zeros(cfg.anchor_count)
         self.anchor_emb = {m: np.zeros((cfg.anchor_count, cfg.local_width))
                            for m in MODALITIES}
-
-    def _parts(self):
-        return (*self.unimodal.values(), self.head)
-
-    def parameters(self):
-        out = super().parameters()
-        out["anchors.ids"] = self.anchor_ids
-        for m in MODALITIES:
-            out[f"anchors.emb.{m}"] = self.anchor_emb[m]
-        return out
-
-    def grads(self):
-        out = super().grads()
-        out["anchors.ids"] = np.zeros_like(self.anchor_ids)
-        for m in MODALITIES:
-            out[f"anchors.emb.{m}"] = np.zeros_like(self.anchor_emb[m])
-        return out
 
     def set_anchors(self, ids: np.ndarray, samples) -> None:
         """Freeze anchor embeddings from the (already trained) unimodal models.
@@ -260,19 +210,10 @@ class RelativeModel(_HeadedModel):
 
     def forward(self, batch: Batch, mode: str, rng=None):
         # backbones stay frozen: embeddings always computed in eval mode
-        rel = self.index_spaces(batch)
-        return self.head.forward(np.concatenate([rel[m] for m in MODALITIES],
-                                                axis=1))
+        return self.predict(self.index_spaces(batch))
 
     def backward(self, d_logits):
         self.head.backward(d_logits)   # gradient stops at the frozen backbones
-
-    def predict(self, spaces: dict) -> np.ndarray:
-        missing = [m for m in MODALITIES if m not in spaces]
-        if missing:
-            raise ValueError(f"missing modalities {missing}; substitute them first")
-        return self.head.forward(np.concatenate([spaces[m] for m in MODALITIES],
-                                                axis=1))
 
 
 def build_baseline(kind: str, cfg: ExperimentConfig, rng=None):

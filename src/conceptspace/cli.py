@@ -324,6 +324,16 @@ def cmd_reproduce(args) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
+# options each explain query needs beyond --checkpoint and --dataset
+_EXPLAIN_NEEDS = {
+    "prototype": ("code",),
+    "neighborhood": ("sample_id", "modality", "radius"),
+    "crossmodal": ("sample_id", "modality"),
+    "substitute": ("sample_id", "modality"),
+    "embedding": (),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conceptspace",
@@ -352,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma list: accuracy,completeness,missing,retrieval")
 
     p_expl = sub.add_parser("explain", help="export explanation artifacts")
-    p_expl.add_argument("subcommand", choices=("prototype", "neighborhood",
-                                               "crossmodal", "substitute",
-                                               "embedding"))
+    p_expl.add_argument("subcommand", choices=tuple(_EXPLAIN_NEEDS))
     p_expl.add_argument("--checkpoint", required=True)
     p_expl.add_argument("--dataset", required=True)
     p_expl.add_argument("--code", help="bit string for prototype queries")
@@ -372,6 +380,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "explain":
+            missing = [f"--{name.replace('_', '-')}"
+                       for name in _EXPLAIN_NEEDS[args.subcommand]
+                       if getattr(args, name) is None]
+            if missing:
+                parser.error(f"explain {args.subcommand} requires {', '.join(missing)}")
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     handlers = {

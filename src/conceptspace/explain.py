@@ -23,7 +23,7 @@ from .config import MODALITIES
 from .data import whole_batch
 from .errors import NoSuchConceptError
 
-EXPLANATION_KINDS = ("prototype", "neighborhood", "cross_modal", "substitution")
+EXPLANATION_KINDS = ("neighborhood", "cross_modal", "substitution")
 
 
 @dataclass

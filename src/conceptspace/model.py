@@ -26,19 +26,20 @@ from .config import MODALITIES, ExperimentConfig
 from .data import Batch, N_BITS
 from .errors import CheckpointMismatchError
 from .nn import (
-    Adam,
     BatchRescale,
     GraphConv,
     GumbelSoftmax,
     LeakyReLU,
     MLP,
+    Module,
     Sigmoid,
 )
+from .rng import substream
 
 CHECKPOINT_VERSION = 1
 
 
-class DenseEncoder:
+class DenseEncoder(Module):
     """Backbone for bit-string inputs."""
 
     def __init__(self, cfg: ExperimentConfig, rng, name: str):
@@ -57,17 +58,8 @@ class DenseEncoder:
     def backward(self, g):
         self.mlp.backward(g)
 
-    def params(self):
-        return self.mlp.params()
 
-    def grads(self):
-        return self.mlp.grads()
-
-    def zero_grad(self):
-        self.mlp.zero_grad()
-
-
-class GraphEncoder:
+class GraphEncoder(Module):
     """Backbone for node-feature/adjacency inputs.
 
     With discretize=True each node is assigned a hard one-hot node concept
@@ -116,24 +108,8 @@ class GraphEncoder:
                 gh = self.acts[i].backward(gh)
             gh = self.convs[i].backward(gh)
 
-    def params(self):
-        out = {}
-        for conv in self.convs:
-            out.update(conv.params())
-        return out
 
-    def grads(self):
-        out = {}
-        for conv in self.convs:
-            out.update(conv.grads())
-        return out
-
-    def zero_grad(self):
-        for conv in self.convs:
-            conv.zero_grad()
-
-
-class ConceptStage:
+class ConceptStage(Module):
     """Batch rescale + sigmoid turning backbone outputs into concepts."""
 
     def __init__(self, width: int, name: str, momentum: float, eps: float):
@@ -147,7 +123,7 @@ class ConceptStage:
         return self.rescale.backward(self.sig.backward(g))
 
 
-class SharedStage:
+class SharedStage(Module):
     """Project local concepts and rescale over the union of all modalities.
 
     One statistics state serves every modality: the rows of all projected
@@ -184,22 +160,6 @@ class SharedStage:
         return {m: self.projectors[m].backward(g[i * b:(i + 1) * b])
                 for i, m in enumerate(MODALITIES)}
 
-    def params(self):
-        out = {}
-        for m in MODALITIES:
-            out.update(self.projectors[m].params())
-        return out
-
-    def grads(self):
-        out = {}
-        for m in MODALITIES:
-            out.update(self.projectors[m].grads())
-        return out
-
-    def zero_grad(self):
-        for m in MODALITIES:
-            self.projectors[m].zero_grad()
-
 
 @dataclass
 class ForwardResult:
@@ -210,7 +170,7 @@ class ForwardResult:
     local_logits: dict     # modality -> (b, n_classes), empty if no local heads
 
 
-class SharedConceptModel:
+class SharedConceptModel(Module):
     """Encoders, shared projectors and label predictor as one trainable unit."""
 
     kind = "shared"
@@ -325,36 +285,6 @@ class SharedConceptModel:
             groups[f"local_head.{m}"] = head.params()
         return groups
 
-    def parameters(self) -> dict:
-        out = {}
-        for g in self.param_groups().values():
-            out.update(g)
-        return out
-
-    def grads(self) -> dict:
-        out = {}
-        for m in MODALITIES:
-            out.update(self.encoders[m].grads())
-        out.update(self.shared_stage.grads())
-        out.update(self.predictor.grads())
-        for head in self.local_heads.values():
-            out.update(head.grads())
-        return out
-
-    def zero_grad(self) -> None:
-        for m in MODALITIES:
-            self.encoders[m].zero_grad()
-        self.shared_stage.zero_grad()
-        self.predictor.zero_grad()
-        for head in self.local_heads.values():
-            head.zero_grad()
-
-    def rescale_states(self) -> dict:
-        states = {f"local_rescale.{m}": self.concept_stages[m].rescale
-                  for m in MODALITIES}
-        states["shared_rescale"] = self.shared_stage.rescale
-        return states
-
 
 # -- checkpoints ---------------------------------------------------------------
 #
@@ -364,11 +294,8 @@ class SharedConceptModel:
 # rebuilt from the embedded config.
 
 def _model_blocks(model) -> list[tuple[str, np.ndarray]]:
-    blocks = [(name, arr) for name, arr in sorted(model.parameters().items())]
-    for name, state in sorted(model.rescale_states().items()):
-        blocks.append((f"{name}.running_mean", state.running_mean))
-        blocks.append((f"{name}.running_var", state.running_var))
-    return blocks
+    """What a checkpoint holds: sorted parameters, then sorted buffers."""
+    return sorted(model.parameters().items()) + sorted(model.buffers().items())
 
 
 def save_model(model, path: str) -> None:
@@ -391,53 +318,72 @@ def save_model(model, path: str) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def read_manifest(path: str) -> dict:
+def _read_checkpoint(path: str) -> tuple[dict, bytes]:
+    """Split a checkpoint file into its manifest and its block payload."""
     with open(path, "rb") as fh:
-        (mlen,) = struct.unpack("<Q", fh.read(8))
-        return json.loads(fh.read(mlen).decode())
+        raw = fh.read()
+    if len(raw) < 8:
+        raise CheckpointMismatchError(f"checkpoint {path} is shorter than its header")
+    (mlen,) = struct.unpack("<Q", raw[:8])
+    if len(raw) < 8 + mlen:
+        raise CheckpointMismatchError(
+            f"checkpoint {path} ends inside its {mlen}-byte manifest")
+    try:
+        manifest = json.loads(raw[8:8 + mlen].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointMismatchError(f"checkpoint manifest is unreadable: {exc}") from exc
+    return manifest, raw[8 + mlen:]
+
+
+def read_manifest(path: str) -> dict:
+    return _read_checkpoint(path)[0]
 
 
 def load_model(path: str):
+    """Rebuild the model a checkpoint describes. The manifest must list
+    exactly the model's blocks, with their shapes, and the payload must hold
+    exactly those blocks: nothing missing, short or left over."""
     from . import baselines  # registry of baseline kinds; deferred to avoid a cycle
 
-    with open(path, "rb") as fh:
-        (mlen,) = struct.unpack("<Q", fh.read(8))
-        manifest = json.loads(fh.read(mlen).decode())
-        if manifest.get("version") != CHECKPOINT_VERSION:
+    manifest, payload = _read_checkpoint(path)
+    if manifest.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointMismatchError(
+            f"unsupported checkpoint version {manifest.get('version')}")
+    cfg = ExperimentConfig.from_dict(manifest["config"])
+    kind = manifest["kind"]
+    if kind == SharedConceptModel.kind:
+        has_heads = any(b["name"].startswith("local_head.")
+                        for b in manifest["blocks"])
+        model = SharedConceptModel(cfg, substream(cfg.seed, "init"),
+                                   with_local_heads=has_heads)
+    else:
+        model = baselines.build_baseline(kind, cfg)
+    targets = dict(_model_blocks(model))
+    names = [spec["name"] for spec in manifest["blocks"]]
+    if sorted(names) != sorted(targets):
+        missing = sorted(set(targets) - set(names))
+        extra = sorted(set(names) - set(targets))
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        raise CheckpointMismatchError(
+            f"checkpoint blocks do not match a {kind} model: missing {missing}, "
+            f"unexpected {extra}, repeated {repeated}")
+    shapes = [tuple(spec["shape"]) for spec in manifest["blocks"]]
+    for name, shape in zip(names, shapes):
+        if targets[name].shape != shape:
             raise CheckpointMismatchError(
-                f"unsupported checkpoint version {manifest.get('version')}")
-        cfg = ExperimentConfig.from_dict(manifest["config"])
-        kind = manifest["kind"]
-        if kind == SharedConceptModel.kind:
-            has_heads = any(b["name"].startswith("local_head.")
-                            for b in manifest["blocks"])
-            model = SharedConceptModel(cfg, _throwaway_rng(cfg), with_local_heads=has_heads)
-        else:
-            model = baselines.build_baseline(kind, cfg, _throwaway_rng(cfg))
-        targets = dict(model.parameters())
-        for name, state in model.rescale_states().items():
-            targets[f"{name}.running_mean"] = state.running_mean
-            targets[f"{name}.running_var"] = state.running_var
-        for spec in manifest["blocks"]:
-            name, shape = spec["name"], tuple(spec["shape"])
-            if name not in targets:
-                raise CheckpointMismatchError(f"unexpected block {name!r}")
-            if targets[name].shape != shape:
-                raise CheckpointMismatchError(
-                    f"block {name!r} has shape {shape}, expected {targets[name].shape}")
-            raw = fh.read(int(np.prod(shape)) * 8 if shape else 8)
-            targets[name][...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        for name, state in model.rescale_states().items():
-            state.trained = manifest["rescale_trained"].get(name, False)
-        model.trained = manifest["trained"]
-        return model
+                f"block {name!r} has shape {shape}, expected {targets[name].shape}")
+    expected = 8 * sum(targets[name].size for name in names)
+    if len(payload) != expected:
+        raise CheckpointMismatchError(
+            f"checkpoint payload is {len(payload)} bytes, its manifest describes {expected}")
+    offset = 0
+    for name, shape in zip(names, shapes):
+        size = 8 * targets[name].size
+        targets[name][...] = np.frombuffer(payload[offset:offset + size],
+                                           dtype="<f8").reshape(shape)
+        offset += size
+    for name, state in model.rescale_states().items():
+        state.trained = manifest["rescale_trained"].get(name, False)
+    model.trained = manifest["trained"]
+    return model
 
-
-def _throwaway_rng(cfg: ExperimentConfig):
-    from .rng import substream
-    return substream(cfg.seed, "init")
-
-
-def new_optimizer(model, lr: float, trainable: dict | None = None) -> Adam:
-    params = trainable if trainable is not None else model.parameters()
-    return Adam(params, lr)

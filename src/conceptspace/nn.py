@@ -16,7 +16,66 @@ def fan_in_uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.nd
     return rng.uniform(-bound, bound, size=shape)
 
 
-class Linear:
+class Module:
+    """Base of every layer and model: parameters, gradients, buffers and
+    rescale states are found by walking attributes, so no container lists
+    its children.
+
+    A leaf names its trained arrays in `param_names` (the gradient of `W` is
+    `dW`) and its other checkpointed arrays in `buffer_names`. Each is
+    exported as "<name>.<attribute>", and a dict of arrays as
+    "<name>.<attribute>.<key>". Children are reached through attributes that
+    hold a module, or a list or dict of modules.
+    """
+
+    param_names: tuple = ()
+    buffer_names: tuple = ()
+
+    def modules(self):
+        """This module and every module below it, depth first."""
+        yield self
+        for value in vars(self).values():
+            if isinstance(value, dict):
+                value = value.values()
+            elif not isinstance(value, list):
+                value = (value,)
+            for child in value:
+                if isinstance(child, Module):
+                    yield from child.modules()
+
+    def _arrays(self, declared: str, prefix: str = "") -> dict:
+        out = {}
+        for module in self.modules():
+            for attr in getattr(module, declared):
+                value = getattr(module, prefix + attr)
+                if isinstance(value, dict):
+                    out.update({f"{module.name}.{attr}.{k}": v for k, v in value.items()})
+                else:
+                    out[f"{module.name}.{attr}"] = value
+        return out
+
+    def params(self) -> dict:
+        return self._arrays("param_names")
+
+    parameters = params
+
+    def grads(self) -> dict:
+        return self._arrays("param_names", prefix="d")
+
+    def buffers(self) -> dict:
+        return self._arrays("buffer_names")
+
+    def zero_grad(self) -> None:
+        for g in self.grads().values():
+            g[...] = 0.0
+
+    def rescale_states(self) -> dict:
+        return {m.name: m for m in self.modules() if isinstance(m, BatchRescale)}
+
+
+class Linear(Module):
+    param_names = ("W", "b")
+
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, name: str):
         self.name = name
         self.W = fan_in_uniform(rng, (n_in, n_out), n_in)
@@ -34,23 +93,15 @@ class Linear:
         self.db += g.sum(axis=0)
         return g @ self.W.T
 
-    def params(self) -> dict:
-        return {f"{self.name}.W": self.W, f"{self.name}.b": self.b}
 
-    def grads(self) -> dict:
-        return {f"{self.name}.W": self.dW, f"{self.name}.b": self.db}
-
-    def zero_grad(self) -> None:
-        self.dW[...] = 0.0
-        self.db[...] = 0.0
-
-
-class GraphConv:
+class GraphConv(Module):
     """Symmetric-normalized graph convolution on fixed-size node blocks.
 
     forward: y = adj @ x @ W + b with adj of shape (b, N, N) already
     degree-normalized with self-loops.
     """
+
+    param_names = ("W", "b")
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, name: str,
                  zero_bias: bool = False):
@@ -76,16 +127,6 @@ class GraphConv:
         self.db += g.sum(axis=(0, 1))
         # adj is symmetric, so adj^T = adj
         return self._adj @ (g @ self.W.T)
-
-    def params(self) -> dict:
-        return {f"{self.name}.W": self.W, f"{self.name}.b": self.b}
-
-    def grads(self) -> dict:
-        return {f"{self.name}.W": self.dW, f"{self.name}.b": self.db}
-
-    def zero_grad(self) -> None:
-        self.dW[...] = 0.0
-        self.db[...] = 0.0
 
 
 class ReLU:
@@ -127,7 +168,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-class BatchRescale:
+class BatchRescale(Module):
     """Affine-free per-dimension standardization across a batch.
 
     Train mode standardizes with the batch's own mean and (biased) variance
@@ -136,6 +177,8 @@ class BatchRescale:
     concept should fire only when a sample deviates from its batch peers,
     and an affine transform could undo that.
     """
+
+    buffer_names = ("running_mean", "running_var")
 
     def __init__(self, width: int, name: str, momentum: float = 0.1, eps: float = 1e-5):
         self.name = name
@@ -172,15 +215,6 @@ class BatchRescale:
             raise RuntimeError("backward requires a preceding train-mode forward")
         xhat, inv_std, b = self._cache
         return inv_std / b * (b * g - g.sum(axis=0) - xhat * (g * xhat).sum(axis=0))
-
-    def state(self) -> dict:
-        return {f"{self.name}.running_mean": self.running_mean,
-                f"{self.name}.running_var": self.running_var}
-
-    def load_state(self, mean: np.ndarray, var: np.ndarray, trained: bool) -> None:
-        self.running_mean = mean.copy()
-        self.running_var = var.copy()
-        self.trained = trained
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -235,7 +269,7 @@ class GumbelSoftmax:
         return (g - (g * s).sum(axis=-1, keepdims=True)) * s / self.tau
 
 
-class MLP:
+class MLP(Module):
     """Two dense layers with an activation in between."""
 
     def __init__(self, n_in: int, n_hidden: int, n_out: int,
@@ -249,16 +283,6 @@ class MLP:
 
     def backward(self, g):
         return self.lin1.backward(self.act.backward(self.lin2.backward(g)))
-
-    def params(self):
-        return {**self.lin1.params(), **self.lin2.params()}
-
-    def grads(self):
-        return {**self.lin1.grads(), **self.lin2.grads()}
-
-    def zero_grad(self):
-        self.lin1.zero_grad()
-        self.lin2.zero_grad()
 
 
 class Adam:

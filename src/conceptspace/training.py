@@ -28,7 +28,7 @@ import numpy as np
 from .config import MODALITIES, ExperimentConfig, LossConfig
 from .data import Batch, DatasetSplit, as_arrays, batches, whole_batch
 from .errors import ConfigurationError
-from .model import ForwardResult, SharedConceptModel, _model_blocks, new_optimizer
+from .model import ForwardResult, SharedConceptModel, _model_blocks
 from .nn import Adam, MLP, sigmoid
 from .rng import substream
 
@@ -57,57 +57,31 @@ def _bce_with_logits(logits: np.ndarray, targets: np.ndarray):
 
 def semantic_regularizer(shared: dict, pairs=MODALITY_PAIRS,
                          sample_idx: np.ndarray | None = None) -> float:
-    value, _ = _regularizer_with_grads(shared, pairs, sample_idx)
+    b = shared[MODALITIES[0]].shape[0]
+    idx = np.arange(b) if sample_idx is None else np.asarray(sample_idx)
+    value, _ = _distance_with_grads(shared, pairs, idx, idx)
     return value
 
 
-def _regularizer_with_grads(shared: dict, pairs, sample_idx):
-    """Mean Euclidean distance between paired rows, over (pair, index)."""
-    b = shared[MODALITIES[0]].shape[0]
-    idx = np.arange(b) if sample_idx is None else np.asarray(sample_idx)
+def _distance_with_grads(shared: dict, pairs, rows_a: np.ndarray, rows_b: np.ndarray):
+    """Mean Euclidean distance between row rows_a[k] of one modality and row
+    rows_b[k] of the other, over (modality pair, k)."""
     grads = {m: np.zeros_like(shared[m]) for m in shared}
-    if len(idx) == 0:
+    if len(rows_a) == 0:
         warnings.warn("no samples drawn for the distance term; it contributes 0")
         return 0.0, grads
-    scale = 1.0 / (len(pairs) * len(idx))
+    scale = 1.0 / (len(pairs) * len(rows_a))
     total = 0.0
     for mi, mq in pairs:
-        diff = shared[mi][idx] - shared[mq][idx]
+        diff = shared[mi][rows_a] - shared[mq][rows_b]
         dist = np.sqrt((diff * diff).sum(axis=1))
         total += dist.sum() * scale
         safe = np.where(dist > 1e-12, dist, 1.0)
         g = diff / safe[:, None] * scale
         g[dist <= 1e-12] = 0.0
-        grads[mi][idx] += g
-        grads[mq][idx] -= g
+        np.add.at(grads[mi], rows_a, g)
+        np.add.at(grads[mq], rows_b, -g)
     return float(total), grads
-
-
-def _translation_reg_with_grads(shared: dict, b: int, sample_idx):
-    """Distance term over content-matched cross-modal pairs.
-
-    Shared matrices carry 2b rows: task renderings first, then each sample's
-    translation into the other modality. For a drawn sample the graph
-    rendering is paired with the tabular rendering of the same content (both
-    directions), so the pulled-together points always describe one object.
-    """
-    idx = np.asarray(sample_idx)
-    grads = {m: np.zeros_like(shared[m]) for m in shared}
-    if len(idx) == 0:
-        warnings.warn("no samples drawn for the distance term; it contributes 0")
-        return 0.0, grads
-    s_g, s_t = shared["graph"], shared["tabular"]
-    gather_g = np.concatenate([idx, b + idx])        # graph content, tab content
-    gather_t = np.concatenate([b + idx, idx])        # same contents, other modality
-    diff = s_g[gather_g] - s_t[gather_t]
-    dist = np.sqrt((diff * diff).sum(axis=1))
-    scale = 1.0 / len(dist)
-    safe = np.where(dist > 1e-12, dist, 1.0)
-    g = diff / safe[:, None] * scale
-    g[dist <= 1e-12] = 0.0
-    np.add.at(grads["graph"], gather_g, g)
-    np.add.at(grads["tabular"], gather_t, -g)
-    return float(dist.sum() * scale), grads
 
 
 def draw_distance_samples(batch: Batch, fraction: float, distance_filter: str,
@@ -158,14 +132,18 @@ def _total_loss_with_grads(result, batch: Batch, loss_cfg: LossConfig,
     d_shared = None
     if loss_cfg.lam > 0:
         b = result.logits.shape[0]
+        idx = np.arange(b) if sample_idx is None else np.asarray(sample_idx)
+        rows_a = rows_b = idx
         if result.shared[MODALITIES[0]].shape[0] == 2 * b:
-            # translation rows present: pair by content
-            reg, reg_grads = _translation_reg_with_grads(result.shared, b,
-                                                         np.arange(b) if sample_idx is None
-                                                         else sample_idx)
-        else:
-            reg, reg_grads = _regularizer_with_grads(result.shared, MODALITY_PAIRS,
-                                                     sample_idx)
+            # Translation rows present: shared matrices carry the task
+            # renderings first, then each sample's translation into the other
+            # modality. Pair a drawn sample's graph rendering with the tabular
+            # rendering of the same content (both directions), so the pulled
+            # together points always describe one object.
+            rows_a = np.concatenate([idx, b + idx])
+            rows_b = np.concatenate([b + idx, idx])
+        reg, reg_grads = _distance_with_grads(result.shared, MODALITY_PAIRS,
+                                              rows_a, rows_b)
         d_shared = {m: loss_cfg.lam * g for m, g in reg_grads.items()}
     local = {}
     d_local = None
@@ -186,12 +164,7 @@ def _total_loss_with_grads(result, batch: Batch, loss_cfg: LossConfig,
     return LossBreakdown(total, task, reg, local), d_logits, d_shared, d_local
 
 
-# -- accuracy helper (whole-split eval forward) ---------------------------------
-
-def global_accuracy(model, eval_batch: Batch) -> float:
-    logits = model.forward(eval_batch, "eval").logits
-    return float((logits.argmax(axis=1) == eval_batch.y).mean())
-
+# -- code purity of the training split ------------------------------------------
 
 def _code_purity_probe(samples, n_classes: int, batch_size: int):
     """Return f(model): the share of `samples` whose global label is the
@@ -249,210 +222,204 @@ def train(model: SharedConceptModel, split: DatasetSplit, cfg: ExperimentConfig)
     highest code purity (see _code_purity_probe) on the training split, the
     latest such epoch on ties; history still has a row for every epoch.
     """
-    plan, loss_cfg = cfg.plan, cfg.loss
-    if any(b > 0 for b in loss_cfg.betas) and not model.local_heads:
+    if any(b > 0 for b in cfg.loss.betas) and not model.local_heads:
         raise ConfigurationError("local loss weights require local heads")
-    regime = plan.regime
-    if regime == "end_to_end":
-        history = _train_end_to_end(model, split, cfg)
-    elif regime == "sequential":
-        history = _train_sequential(model, split, cfg)
-    elif regime == "local_pretrain":
+    regimes = {"end_to_end": _train_end_to_end, "sequential": _train_sequential,
+               "local_pretrain": _train_local_pretrain}
+    regime = cfg.plan.regime
+    if regime not in regimes:
+        raise ConfigurationError(f"unknown regime {regime!r}")
+    if regime == "local_pretrain":
         if not cfg.use_local_supervision:
             raise ConfigurationError(
                 "local_pretrain needs local supervision; this dataset withholds it "
                 "unless use_local_supervision is set")
         if not model.local_heads:
             raise ConfigurationError("local_pretrain requires local heads")
-        history = _train_local_pretrain(model, split, cfg)
-    else:
-        raise ConfigurationError(f"unknown regime {regime!r}")
+    history = regimes[regime](model, _start(split, cfg))
     model.trained = True
     return model, history
 
 
-def _streams(cfg: ExperimentConfig):
-    return (substream(cfg.seed, "shuffle"), substream(cfg.seed, "gumbel"),
-            substream(cfg.seed, "regdraw"))
+@dataclass
+class _Run:
+    """What every loop of one training call shares: the data, and random
+    substreams that successive phases keep drawing from."""
+
+    cfg: ExperimentConfig
+    split: DatasetSplit
+    train_arrays: dict
+    test_batch: Batch
+    shuffle_rng: np.random.Generator
+    gumbel_rng: np.random.Generator
+    reg_rng: np.random.Generator
 
 
-def _row(epoch, task, reg, local, acc):
-    return {
-        "epoch": epoch,
-        "task_loss": float(task),
-        "reg_loss": float(reg),
-        "local_loss_graph": float(local.get("graph", 0.0)),
-        "local_loss_tabular": float(local.get("tabular", 0.0)),
-        "test_accuracy": float(acc),
-    }
+def _start(split: DatasetSplit, cfg: ExperimentConfig) -> _Run:
+    return _Run(cfg, split, as_arrays(split.train, cfg.bijection),
+                whole_batch(split.test, bijection=cfg.bijection),
+                substream(cfg.seed, "shuffle"), substream(cfg.seed, "gumbel"),
+                substream(cfg.seed, "regdraw"))
 
 
-def _train_end_to_end(model, split, cfg):
-    plan, loss_cfg = cfg.plan, cfg.loss
-    shuffle_rng, gumbel_rng, reg_rng = _streams(cfg)
-    train_arrays = as_arrays(split.train, cfg.bijection)
-    # probe batches no larger than the test split, so the layer caches left
-    # behind stay within those of the per-epoch test evaluation
-    train_purity = _code_purity_probe(split.train, cfg.n_classes,
-                                      max(len(split.test), 1))
-    test_batch = whole_batch(split.test, bijection=cfg.bijection)
-    opt = new_optimizer(model, plan.learning_rate)
+HISTORY_COLUMNS = ("epoch", "task_loss", "reg_loss", "local_loss_graph",
+                   "local_loss_tabular", "test_accuracy")
+
+
+def _fit(run: _Run, params: dict, grads: dict, step, epochs: int, evaluate,
+         first_epoch: int = 0) -> list[dict]:
+    """The epoch loop of every regime and phase.
+
+    Per batch of a shuffled pass over the training split: zero `grads`, call
+    step(batch), which runs forward, loss and backward and returns this
+    batch's losses by history column, then take an Adam step on `params`.
+    After each epoch, evaluate() gives the test split's logits and labels,
+    whose accuracy goes into the history row with the epoch's mean batch
+    losses.
+    """
+    opt = Adam(params, run.cfg.plan.learning_rate)
     history = []
-    best_purity, best_state = -1.0, None
-    for epoch in range(plan.epochs):
-        sums = np.zeros(2)
-        local_sums = {m: 0.0 for m in MODALITIES}
+    for epoch in range(epochs):
+        sums = dict.fromkeys(HISTORY_COLUMNS[1:-1], 0.0)
         n_batches = 0
-        for batch in batches(split.train, plan.batch_size, rng=shuffle_rng,
-                             shuffle=True, drop_singleton=True, arrays=train_arrays):
-            model.zero_grad()
-            result = model.forward(batch, "train", gumbel_rng=gumbel_rng,
-                                   with_aux=True)
-            idx = None
-            if loss_cfg.lam > 0:
-                idx = draw_distance_samples(batch, loss_cfg.sample_fraction,
-                                            loss_cfg.distance_filter, reg_rng)
-            breakdown, d_logits, d_shared, d_local = _total_loss_with_grads(
-                result, batch, loss_cfg, idx)
-            model.backward(d_logits, d_shared, d_local)
-            opt.step(model.grads())
-            sums += (breakdown.task, breakdown.reg)
-            for m, v in breakdown.local.items():
-                local_sums[m] += v
+        for batch in batches(run.split.train, run.cfg.plan.batch_size,
+                             rng=run.shuffle_rng, shuffle=True, drop_singleton=True,
+                             arrays=run.train_arrays):
+            for g in grads.values():
+                g[...] = 0.0
+            for column, value in step(batch).items():
+                sums[column] += value
+            opt.step(grads)
             n_batches += 1
-        acc = global_accuracy(model, test_batch)
-        purity = train_purity(model)
-        if purity >= best_purity:
-            # what a checkpoint holds: parameters and rescale statistics
-            best_purity = purity
-            best_state = {name: arr.copy() for name, arr in _model_blocks(model)}
-        history.append(_row(epoch, sums[0] / n_batches, sums[1] / n_batches,
-                            {m: v / n_batches for m, v in local_sums.items()}, acc))
-    for name, arr in _model_blocks(model):
-        arr[...] = best_state[name]
+        logits, labels = evaluate()
+        history.append({"epoch": first_epoch + epoch,
+                        **{k: float(v / n_batches) for k, v in sums.items()},
+                        "test_accuracy": float((logits.argmax(axis=1) == labels).mean())})
     return history
 
 
-def _train_sequential(model, split, cfg):
-    plan = cfg.plan
-    shuffle_rng, gumbel_rng, reg_rng = _streams(cfg)
-    train_arrays = as_arrays(split.train, cfg.bijection)
-    test_batch = whole_batch(split.test, bijection=cfg.bijection)
-    k = cfg.local_width
+def _losses(breakdown: LossBreakdown) -> dict:
+    return {"task_loss": breakdown.task, "reg_loss": breakdown.reg,
+            **{f"local_loss_{m}": v for m, v in breakdown.local.items()}}
 
+
+def _draw(run: _Run, batch: Batch):
+    loss_cfg = run.cfg.loss
+    if loss_cfg.lam <= 0:
+        return None
+    return draw_distance_samples(batch, loss_cfg.sample_fraction,
+                                 loss_cfg.distance_filter, run.reg_rng)
+
+
+def _train_end_to_end(model, run: _Run):
+    # probe batches no larger than the test split, so the layer caches left
+    # behind stay within those of the per-epoch test evaluation
+    train_purity = _code_purity_probe(run.split.train, run.cfg.n_classes,
+                                      max(len(run.split.test), 1))
+    best = {"purity": -1.0, "state": None}
+
+    def step(batch):
+        result = model.forward(batch, "train", gumbel_rng=run.gumbel_rng,
+                               with_aux=True)
+        breakdown, d_logits, d_shared, d_local = _total_loss_with_grads(
+            result, batch, run.cfg.loss, _draw(run, batch))
+        model.backward(d_logits, d_shared, d_local)
+        return _losses(breakdown)
+
+    def evaluate():
+        logits = model.forward(run.test_batch, "eval").logits
+        purity = train_purity(model)
+        if purity >= best["purity"]:
+            best["purity"] = purity
+            best["state"] = {name: arr.copy() for name, arr in _model_blocks(model)}
+        return logits, run.test_batch.y
+
+    history = _fit(run, model.parameters(), model.grads(), step, run.cfg.plan.epochs,
+                   evaluate)
+    for name, arr in _model_blocks(model):
+        arr[...] = best["state"][name]
+    return history
+
+
+def _train_sequential(model, run: _Run):
+    cfg = run.cfg
+    k = cfg.local_width
     # phase 1: encoders + throwaway head on concatenated local concepts
     fprime = MLP(len(MODALITIES) * k, cfg.head_hidden, cfg.n_classes,
                  substream(cfg.seed, "misc"), "fprime")
-    phase1_params = {}
+    params = {}
     for m in MODALITIES:
-        phase1_params.update(model.encoders[m].params())
-    phase1_params.update(fprime.params())
-    opt1 = Adam(phase1_params, plan.learning_rate)
-    history = []
-    for epoch in range(plan.epochs):
-        task_sum, n_batches = 0.0, 0
-        for batch in batches(split.train, plan.batch_size, rng=shuffle_rng,
-                             shuffle=True, drop_singleton=True, arrays=train_arrays):
-            model.zero_grad()
-            fprime.zero_grad()
-            _, local = model.local_concepts(batch, "train", gumbel_rng=gumbel_rng)
-            logits = fprime.forward(np.concatenate([local[m] for m in MODALITIES],
-                                                   axis=1))
-            task, d_logits = _bce_with_logits(logits, batch.y_onehot)
-            gc = fprime.backward(d_logits)
-            for i, m in enumerate(MODALITIES):
-                gz = model.concept_stages[m].backward(gc[:, i * k:(i + 1) * k])
-                model.encoders[m].backward(gz)
-            grads = {}
-            for m in MODALITIES:
-                grads.update(model.encoders[m].grads())
-            grads.update(fprime.grads())
-            opt1.step(grads)
-            task_sum += task
-            n_batches += 1
-        _, local = model.local_concepts(test_batch, "eval")
-        logits = fprime.forward(np.concatenate([local[m] for m in MODALITIES], axis=1))
-        acc = float((logits.argmax(axis=1) == test_batch.y).mean())
-        history.append(_row(epoch, task_sum / n_batches, 0.0, {}, acc))
+        params.update(model.encoders[m].params())
+    params.update(fprime.params())
 
+    def fprime_logits(batch, mode, gumbel_rng=None):
+        _, local = model.local_concepts(batch, mode, gumbel_rng=gumbel_rng)
+        return fprime.forward(np.concatenate([local[m] for m in MODALITIES], axis=1))
+
+    def step(batch):
+        logits = fprime_logits(batch, "train", run.gumbel_rng)
+        task, d_logits = _bce_with_logits(logits, batch.y_onehot)
+        gc = fprime.backward(d_logits)
+        for i, m in enumerate(MODALITIES):
+            gz = model.concept_stages[m].backward(gc[:, i * k:(i + 1) * k])
+            model.encoders[m].backward(gz)
+        return {"task_loss": task}
+
+    grads = {**model.grads(), **fprime.grads()}
+    history = _fit(run, params, grads, step, cfg.plan.epochs,
+                   lambda: (fprime_logits(run.test_batch, "eval"), run.test_batch.y))
     # phase 2: encoders frozen (eval mode), shared stage + predictor train
-    history += _train_shared_phase(model, split, cfg, train_arrays, test_batch,
-                                   shuffle_rng, reg_rng, start_epoch=plan.epochs)
-    return history
+    return history + _train_shared_phase(model, run, first_epoch=len(history))
 
 
-def _train_local_pretrain(model, split, cfg):
-    plan = cfg.plan
-    shuffle_rng, gumbel_rng, reg_rng = _streams(cfg)
-    train_arrays = as_arrays(split.train, cfg.bijection)
-    test_batch = whole_batch(split.test, bijection=cfg.bijection)
+def _train_local_pretrain(model, run: _Run):
     history = []
-    epoch_base = 0
     for mod in MODALITIES:
-        head = model.local_heads[mod]
-        encoder = model.encoders[mod]
-        params = {**encoder.params(), **head.params()}
-        opt = Adam(params, plan.learning_rate)
-        for epoch in range(plan.epochs):
-            loss_sum, n_batches = 0.0, 0
-            for batch in batches(split.train, plan.batch_size, rng=shuffle_rng,
-                                 shuffle=True, drop_singleton=True,
-                                 arrays=train_arrays):
-                model.zero_grad()
-                z = encoder.forward(*encoder.inputs(batch), mode="train",
-                                    rng=gumbel_rng)
-                c = model.concept_stages[mod].forward(z, "train")
-                logits = head.forward(c)
-                value, d_logits = _bce_with_logits(logits, _local_targets(batch, mod))
-                gc = head.backward(d_logits)
-                gz = model.concept_stages[mod].backward(gc)
-                encoder.backward(gz)
-                opt.step({**encoder.grads(), **head.grads()})
-                loss_sum += value
-                n_batches += 1
-            z = encoder.forward(*encoder.inputs(test_batch), mode="eval")
-            c = model.concept_stages[mod].forward(z, "eval")
-            acc = float((head.forward(c).argmax(axis=1) == test_batch.local[mod]).mean())
-            history.append(_row(epoch_base + epoch, 0.0, 0.0,
-                                {mod: loss_sum / n_batches}, acc))
-        epoch_base += plan.epochs
-    history += _train_shared_phase(model, split, cfg, train_arrays, test_batch,
-                                   shuffle_rng, reg_rng, start_epoch=epoch_base)
-    return history
+        history += _train_local_head(model, run, mod, first_epoch=len(history))
+    return history + _train_shared_phase(model, run, first_epoch=len(history))
 
 
-def _train_shared_phase(model, split, cfg, train_arrays, test_batch,
-                        shuffle_rng, reg_rng, start_epoch):
+def _train_local_head(model, run: _Run, mod: str, first_epoch: int):
+    """Phase 1 of local_pretrain for one modality: its encoder and local head
+    on that modality's local labels."""
+    head, encoder = model.local_heads[mod], model.encoders[mod]
+    stage = model.concept_stages[mod]
+
+    def head_logits(batch, mode, gumbel_rng=None):
+        z = encoder.forward(*encoder.inputs(batch), mode=mode, rng=gumbel_rng)
+        return head.forward(stage.forward(z, mode))
+
+    def step(batch):
+        logits = head_logits(batch, "train", run.gumbel_rng)
+        value, d_logits = _bce_with_logits(logits, _local_targets(batch, mod))
+        encoder.backward(stage.backward(head.backward(d_logits)))
+        return {f"local_loss_{mod}": value}
+
+    def evaluate():
+        return head_logits(run.test_batch, "eval"), run.test_batch.local[mod]
+
+    return _fit(run, {**encoder.params(), **head.params()}, model.grads(), step,
+                run.cfg.plan.epochs, evaluate, first_epoch)
+
+
+def _train_shared_phase(model, run: _Run, first_epoch: int):
     """Common phase 2: frozen encoders in eval mode, shared stage training."""
-    plan, loss_cfg = cfg.plan, cfg.loss
+
+    def step(batch):
+        _, local = model.local_concepts(batch, "eval", with_aux=True)
+        shared = model.shared_concepts(local, "train")
+        b = len(batch)
+        logits = model.predict({m: shared[m][:b] for m in MODALITIES})
+        result = ForwardResult({}, local, shared, logits, {})
+        breakdown, d_logits, d_shared, _ = _total_loss_with_grads(
+            result, batch, run.cfg.loss, _draw(run, batch))
+        model.backward(d_logits, d_shared, frozen_encoders=True)
+        return _losses(breakdown)
+
     params = {**model.shared_stage.params(), **model.predictor.params()}
-    opt = Adam(params, plan.learning_rate)
-    history = []
-    for epoch in range(plan.phase2_epochs):
-        sums = np.zeros(2)
-        n_batches = 0
-        for batch in batches(split.train, plan.batch_size, rng=shuffle_rng,
-                             shuffle=True, drop_singleton=True, arrays=train_arrays):
-            model.zero_grad()
-            _, local = model.local_concepts(batch, "eval", with_aux=True)
-            shared = model.shared_concepts(local, "train")
-            b = len(batch)
-            logits = model.predict({m: shared[m][:b] for m in MODALITIES})
-            result = ForwardResult({}, local, shared, logits, {})
-            idx = None
-            if loss_cfg.lam > 0:
-                idx = draw_distance_samples(batch, loss_cfg.sample_fraction,
-                                            loss_cfg.distance_filter, reg_rng)
-            breakdown, d_logits, d_shared, _ = _total_loss_with_grads(
-                result, batch, loss_cfg, idx)
-            model.backward(d_logits, d_shared, frozen_encoders=True)
-            opt.step({**model.shared_stage.grads(), **model.predictor.grads()})
-            sums += (breakdown.task, breakdown.reg)
-            n_batches += 1
-        acc = global_accuracy(model, test_batch)
-        history.append(_row(start_epoch + epoch, sums[0] / n_batches,
-                            sums[1] / n_batches, {}, acc))
-    return history
+    return _fit(run, params, model.grads(), step, run.cfg.plan.phase2_epochs,
+                lambda: (model.forward(run.test_batch, "eval").logits, run.test_batch.y),
+                first_epoch)
 
 
 # -- generic task-only loop shared with the baselines ----------------------------
@@ -463,44 +430,29 @@ def train_task_only(model_like, split: DatasetSplit, cfg: ExperimentConfig,
     """Fit any model exposing forward(batch, mode, rng)->logits and
     backward(d_logits) on plain cross-entropy. target selects global labels
     or a modality's local labels."""
-    plan = cfg.plan
-    shuffle_rng = substream(cfg.seed, "shuffle")
-    gumbel_rng = substream(cfg.seed, "gumbel")
-    train_arrays = as_arrays(split.train, cfg.bijection)
-    test_batch = whole_batch(split.test, bijection=cfg.bijection)
+    run = _start(split, cfg)
+
+    def step(batch):
+        logits = model_like.forward(batch, "train", run.gumbel_rng)
+        targets = batch.y_onehot if target == "global" else _local_targets(batch, target)
+        value, d_logits = _bce_with_logits(logits, targets)
+        model_like.backward(d_logits)
+        return {"task_loss": value}
+
+    def evaluate():
+        labels = run.test_batch.y if target == "global" else run.test_batch.local[target]
+        return model_like.forward(run.test_batch, "eval", None), labels
+
     params = trainable if trainable is not None else model_like.parameters()
-    opt = Adam(params, plan.learning_rate)
-    history = []
-    for epoch in range(epochs):
-        loss_sum, n_batches = 0.0, 0
-        for batch in batches(split.train, plan.batch_size, rng=shuffle_rng,
-                             shuffle=True, drop_singleton=True, arrays=train_arrays):
-            model_like.zero_grad()
-            logits = model_like.forward(batch, "train", gumbel_rng)
-            targets = batch.y_onehot if target == "global" else _local_targets(batch, target)
-            value, d_logits = _bce_with_logits(logits, targets)
-            model_like.backward(d_logits)
-            grads = model_like.grads()
-            opt.step({k: grads[k] for k in params})
-            loss_sum += value
-            n_batches += 1
-        logits = model_like.forward(test_batch, "eval", None)
-        labels = test_batch.y if target == "global" else test_batch.local[target]
-        acc = float((logits.argmax(axis=1) == labels).mean())
-        history.append(_row(epoch, loss_sum / n_batches, 0.0, {}, acc))
+    history = _fit(run, params, model_like.grads(), step, epochs, evaluate)
     model_like.trained = True
     return history
 
 
 # -- history file -----------------------------------------------------------------
 
-HISTORY_COLUMNS = ("epoch", "task_loss", "reg_loss", "local_loss_graph",
-                   "local_loss_tabular", "test_accuracy")
-
-
 def save_history(history, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=HISTORY_COLUMNS)
         writer.writeheader()
-        for row in history:
-            writer.writerow({k: row[k] for k in HISTORY_COLUMNS})
+        writer.writerows(history)

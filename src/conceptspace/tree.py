@@ -43,6 +43,7 @@ class BinaryCodeTree:
     def fit(self, x: np.ndarray, y: np.ndarray) -> "BinaryCodeTree":
         x = np.asarray(x, dtype=np.uint8)
         y = np.asarray(y)
+        self.depth = 0
         self.root = self._build(x, y, np.arange(len(y)), depth=0)
         return self
 

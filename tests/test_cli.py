@@ -110,6 +110,14 @@ def test_train_baseline_kind(workdir, tmp_path):
     assert (tmp_path / "concept_seed0.ckpt").exists()
 
 
+def test_train_and_eval_relative(workdir, tmp_path):
+    assert main(["--config", workdir["config"], "--out", str(tmp_path), "train",
+                 "--dataset", workdir["dataset"], "--model", "relative"]) == 0
+    assert main(["--out", str(tmp_path), "eval", "--checkpoint",
+                 str(tmp_path / "relative_seed0.ckpt"),
+                 "--dataset", workdir["dataset"]]) == 0
+
+
 # -- eval --------------------------------------------------------------------------
 
 def test_eval_writes_report_and_ledger(workdir, tmp_path):
@@ -272,6 +280,27 @@ def test_usage_errors_exit_1():
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["train", "--model", "nonsense"]) == 1
+
+
+@pytest.mark.parametrize("query", [
+    ["prototype"],
+    ["neighborhood", "--sample-id", "3", "--modality", "graph"],
+    ["crossmodal", "--modality", "graph"],
+    ["substitute", "--sample-id", "3"],
+])
+def test_explain_query_without_its_options_is_a_usage_error(workdir, query, capsys):
+    assert main(["explain", *query, "--checkpoint", workdir["ckpt"],
+                 "--dataset", workdir["dataset"]]) == 1
+    assert "requires --" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_exits_4(workdir, tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    raw = open(workdir["ckpt"], "rb").read()
+    bad.write_bytes(raw[:len(raw) - 8])
+    assert main(["--out", str(tmp_path), "eval", "--checkpoint", str(bad),
+                 "--dataset", workdir["dataset"]]) == 4
+    assert "payload" in capsys.readouterr().err
 
 
 def test_help_exits_0():

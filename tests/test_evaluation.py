@@ -159,6 +159,14 @@ def test_tree_splits_through_zero_gain():
     assert pred.tolist() == [0, 0]   # each cluster's tied vote -> smallest label
 
 
+def test_tree_refit_reports_the_new_depth():
+    tree = BinaryCodeTree().fit(np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8),
+                                np.array([0, 1, 1, 0]))
+    assert tree.depth == 2
+    tree.fit(np.array([[0], [1]], dtype=np.uint8), np.array([0, 1]))
+    assert tree.depth == 1
+
+
 def test_model_codes_shapes(small_model, small_split):
     model, _ = small_model
     codes, labels = model_codes(model, small_split.test)
