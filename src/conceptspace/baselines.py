@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import MODALITIES, ExperimentConfig
 from .data import Batch, DatasetSplit, translation_batch, whole_batch
-from .model import ConceptStage, DenseEncoder, GraphEncoder
+from .model import ConcatHeadModel, fresh_encoders, predict_side_by_side
 from .nn import MLP, Module
 from .rng import substream
 from .training import train_task_only
@@ -28,132 +28,25 @@ BASELINE_KINDS = ("mod_graph", "mod_tabular", "cbm_graph", "cbm_tabular",
                   "simple", "concept", "relative")
 
 
-def _make_encoder(cfg, rng, modality, name, discretize):
-    if modality == "graph":
-        return GraphEncoder(cfg, rng, name, discretize=discretize)
-    return DenseEncoder(cfg, rng, name)
+def _concat_head_model(cfg, rng, kind, modalities, concepts: bool,
+                       head_name: str = "head", cls=ConcatHeadModel):
+    """Fresh encoders for `modalities`, each followed by a concept stage when
+    `concepts` is set, and then a head over their outputs."""
+    encoders, stages = fresh_encoders(cfg, rng, modalities, concepts)
+    head = MLP(len(modalities) * cfg.local_width, cfg.head_hidden, cfg.n_classes,
+               rng, head_name)
+    return cls(cfg, kind, encoders, stages, head)
 
 
-class _HeadedModel(Module):
-    """Shared plumbing: the config and a trained flag."""
-
-    def __init__(self, cfg: ExperimentConfig):
-        self.config = cfg
-        self.trained = False
-
-
-class _JointModel(_HeadedModel):
-    """A model whose head reads every modality's space side by side."""
-
-    def predict(self, spaces: dict) -> np.ndarray:
-        missing = [m for m in MODALITIES if m not in spaces]
-        if missing:
-            raise ValueError(f"missing modalities {missing}; substitute them first")
-        return self.head.forward(np.concatenate([spaces[m] for m in MODALITIES],
-                                                axis=1))
-
-
-class UnimodalPlainModel(_HeadedModel):
-    def __init__(self, cfg, rng, modality, head_name: str = "head"):
-        super().__init__(cfg)
-        self.kind = f"mod_{modality}"
-        self.modality = modality
-        self.encoder = _make_encoder(cfg, rng, modality, f"enc.{modality}",
-                                     discretize=False)
-        self.head = MLP(cfg.local_width, cfg.head_hidden, cfg.n_classes, rng, head_name)
-
-    def embed(self, batch: Batch, mode: str, rng=None):
-        return self.encoder.forward(*self.encoder.inputs(batch), mode=mode, rng=rng)
-
-    def forward(self, batch: Batch, mode: str, rng=None):
-        return self.head.forward(self.embed(batch, mode, rng))
-
-    def backward(self, d_logits):
-        self.encoder.backward(self.head.backward(d_logits))
-
-
-class UnimodalCbmModel(_HeadedModel):
-    """Concept-bottleneck variant: rescale + sigmoid before the head."""
-
-    def __init__(self, cfg, rng, modality):
-        super().__init__(cfg)
-        self.kind = f"cbm_{modality}"
-        self.modality = modality
-        self.encoder = _make_encoder(cfg, rng, modality, f"enc.{modality}",
-                                     discretize=True)
-        self.stage = ConceptStage(cfg.local_width, f"local_rescale.{modality}",
-                                  cfg.rescale_momentum, cfg.rescale_eps)
-        self.head = MLP(cfg.local_width, cfg.head_hidden, cfg.n_classes, rng, "head")
-
-    def forward(self, batch: Batch, mode: str, rng=None):
-        z = self.encoder.forward(*self.encoder.inputs(batch), mode=mode, rng=rng)
-        return self.head.forward(self.stage.forward(z, mode))
-
-    def backward(self, d_logits):
-        self.encoder.backward(self.stage.backward(self.head.backward(d_logits)))
-
-
-class SimpleMultimodalModel(_HeadedModel):
-    """Concatenated raw embeddings, no concept bottleneck."""
-
-    kind = "simple"
-
-    def __init__(self, cfg, rng):
-        super().__init__(cfg)
-        self.encoders = {m: _make_encoder(cfg, rng, m, f"enc.{m}", discretize=False)
-                         for m in MODALITIES}
-        self.head = MLP(len(MODALITIES) * cfg.local_width, cfg.head_hidden,
-                        cfg.n_classes, rng, "head")
-
-    def forward(self, batch: Batch, mode: str, rng=None):
-        embs = [self.encoders[m].forward(*self.encoders[m].inputs(batch),
-                                         mode=mode, rng=rng)
-                for m in MODALITIES]
-        return self.head.forward(np.concatenate(embs, axis=1))
-
-    def backward(self, d_logits):
-        g = self.head.backward(d_logits)
-        k = self.config.local_width
-        for i, m in enumerate(MODALITIES):
-            self.encoders[m].backward(g[:, i * k:(i + 1) * k])
-
-
-class ConceptMultimodalModel(_JointModel):
+class ConceptMultimodalModel(ConcatHeadModel):
     """Local concepts per modality, concatenated into the head; the concepts
     stay modality-private (no shared space)."""
 
-    kind = "concept"
     concept_based = True
-
-    def __init__(self, cfg, rng):
-        super().__init__(cfg)
-        self.encoders = {m: _make_encoder(cfg, rng, m, f"enc.{m}", discretize=True)
-                         for m in MODALITIES}
-        self.stages = {m: ConceptStage(cfg.local_width, f"local_rescale.{m}",
-                                       cfg.rescale_momentum, cfg.rescale_eps)
-                       for m in MODALITIES}
-        self.head = MLP(len(MODALITIES) * cfg.local_width, cfg.head_hidden,
-                        cfg.n_classes, rng, "head")
-
-    def local_concepts(self, batch: Batch, mode: str, rng=None):
-        return {m: self.stages[m].forward(
-                    self.encoders[m].forward(*self.encoders[m].inputs(batch),
-                                             mode=mode, rng=rng), mode)
-                for m in MODALITIES}
-
-    def forward(self, batch: Batch, mode: str, rng=None):
-        return self.predict(self.local_concepts(batch, mode, rng))
-
-    def backward(self, d_logits):
-        g = self.head.backward(d_logits)
-        k = self.config.local_width
-        for i, m in enumerate(MODALITIES):
-            gz = self.stages[m].backward(g[:, i * k:(i + 1) * k])
-            self.encoders[m].backward(gz)
 
     # representation space for retrieval / substitution: the local concepts
     def index_spaces(self, batch: Batch) -> dict:
-        return self.local_concepts(batch, "eval")
+        return self.embed(batch, "eval")
 
 
 def relative_representation(embedding: np.ndarray, anchor_emb: np.ndarray) -> np.ndarray:
@@ -168,7 +61,7 @@ def relative_representation(embedding: np.ndarray, anchor_emb: np.ndarray) -> np
     return sims if embedding.ndim == 2 else sims[0]
 
 
-class RelativeModel(_JointModel):
+class RelativeModel(Module):
     """Anchor-similarity method. Holds the two frozen unimodal models, the
     anchor ids and embeddings, and the head trained on relative vectors.
     The anchors are buffers: checkpointed, never trained."""
@@ -178,14 +71,21 @@ class RelativeModel(_JointModel):
     buffer_names = ("anchor_ids", "anchor_emb")
 
     def __init__(self, cfg, rng):
-        super().__init__(cfg)
-        self.unimodal = {m: UnimodalPlainModel(cfg, rng, m, head_name=f"head.{m}")
+        self.config = cfg
+        self.unimodal = {m: _concat_head_model(cfg, rng, f"mod_{m}", (m,), False,
+                                               head_name=f"head.{m}")
                          for m in MODALITIES}
         self.head = MLP(len(MODALITIES) * cfg.anchor_count, cfg.head_hidden,
                         cfg.n_classes, rng, "rel_head")
         self.anchor_ids = np.zeros(cfg.anchor_count)
         self.anchor_emb = {m: np.zeros((cfg.anchor_count, cfg.local_width))
                            for m in MODALITIES}
+        self.trained = False
+
+    @property
+    def encoders(self) -> dict:
+        """The backbones; a property, which the module walk does not visit."""
+        return {m: self.unimodal[m].encoders[m] for m in MODALITIES}
 
     def set_anchors(self, ids: np.ndarray, samples) -> None:
         """Freeze anchor embeddings from the (already trained) unimodal models.
@@ -200,13 +100,17 @@ class RelativeModel(_JointModel):
         bijection = self.config.bijection
         own = whole_batch(anchors, bijection=bijection)
         translated = translation_batch(anchors, bijection)
-        self.anchor_emb["graph"][...] = self.unimodal["graph"].embed(own, "eval")
-        self.anchor_emb["tabular"][...] = self.unimodal["tabular"].embed(translated, "eval")
+        self.anchor_emb["graph"][...] = self.unimodal["graph"].embed(own, "eval")["graph"]
+        self.anchor_emb["tabular"][...] = self.unimodal["tabular"].embed(
+            translated, "eval")["tabular"]
 
     def index_spaces(self, batch: Batch) -> dict:
-        return {m: relative_representation(self.unimodal[m].embed(batch, "eval"),
+        return {m: relative_representation(self.unimodal[m].embed(batch, "eval")[m],
                                            self.anchor_emb[m])
                 for m in MODALITIES}
+
+    def predict(self, spaces: dict) -> np.ndarray:
+        return predict_side_by_side(self.head, spaces)
 
     def forward(self, batch: Batch, mode: str, rng=None):
         # backbones stay frozen: embeddings always computed in eval mode
@@ -219,17 +123,15 @@ class RelativeModel(_JointModel):
 def build_baseline(kind: str, cfg: ExperimentConfig, rng=None):
     if rng is None:
         rng = substream(cfg.seed, "init")
-    if kind in ("mod_graph", "mod_tabular"):
-        return UnimodalPlainModel(cfg, rng, kind.removeprefix("mod_"))
-    if kind in ("cbm_graph", "cbm_tabular"):
-        return UnimodalCbmModel(cfg, rng, kind.removeprefix("cbm_"))
-    if kind == "simple":
-        return SimpleMultimodalModel(cfg, rng)
-    if kind == "concept":
-        return ConceptMultimodalModel(cfg, rng)
     if kind == "relative":
         return RelativeModel(cfg, rng)
-    raise ValueError(f"unknown baseline kind {kind!r}")
+    if kind not in BASELINE_KINDS:
+        raise ValueError(f"unknown baseline kind {kind!r}")
+    family, _, modality = kind.partition("_")
+    return _concat_head_model(
+        cfg, rng, kind, (modality,) if modality else MODALITIES,
+        concepts=family in ("cbm", "concept"),
+        cls=ConceptMultimodalModel if kind == "concept" else ConcatHeadModel)
 
 
 def train_baseline(model, split: DatasetSplit, cfg: ExperimentConfig):

@@ -20,7 +20,7 @@ from .baselines import BASELINE_KINDS, build_baseline, train_baseline
 from .config import MODALITIES, ExperimentConfig, load_config
 from .data import generate_xor_and_xor, load_dataset, save_dataset, split
 from .errors import CheckpointMismatchError, ConfigurationError, NoSuchConceptError
-from .evaluation import append_ledger, evaluate_model
+from .evaluation import METRICS, append_ledger, evaluate_model
 from .explain import (
     build_index,
     cross_modal_retrieve,
@@ -60,11 +60,7 @@ def _load_cfg(args) -> ExperimentConfig:
         overrides["seed"] = args.seed
     if args.config:
         return load_config(args.config, **overrides)
-    cfg = ExperimentConfig()
-    if overrides:
-        cfg = cfg.with_overrides(**overrides)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig().with_overrides(**overrides)
 
 
 def _generate(cfg: ExperimentConfig):
@@ -140,10 +136,8 @@ def _load_pair(ckpt_path: str, dataset_path: str):
 
 def cmd_eval(args) -> int:
     model, ds = _load_pair(args.checkpoint, args.dataset)
-    metrics = tuple(args.metrics.split(",")) if args.metrics else (
-        "accuracy", "completeness", "missing", "retrieval")
     index = build_index(model, ds.train) if hasattr(model, "index_spaces") else None
-    report = evaluate_model(model, index, ds, model.config.hash(), metrics)
+    report = evaluate_model(model, index, ds, model.config.hash(), args.metrics)
     out_dir = args.out or model.config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     stem = f"{model.kind}_seed{model.config.seed}"
@@ -176,8 +170,11 @@ def cmd_explain(args) -> int:
         return 0
 
     if sub == "prototype":
-        code = np.array([int(c) for c in args.code], dtype=np.uint8)
-        sample_id = prototype(index, code)
+        width = 0 if index.codes is None else index.codes.shape[1]
+        if len(args.code) != width:
+            raise NoSuchConceptError(f"--code has {len(args.code)} bits; this "
+                                     f"checkpoint's concept codes have {width}")
+        sample_id = prototype(index, [int(c) for c in args.code])
         expl_path = os.path.join(out_dir, f"prototype_{args.code}.json")
         with open(expl_path, "w") as fh:
             json.dump({"kind": "prototype", "code": args.code,
@@ -275,7 +272,7 @@ def _acceptance_lines(by_kind: dict) -> list[tuple[str, bool, str]]:
 
 def cmd_reproduce(args) -> int:
     cfg = _load_cfg(args)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = args.seeds
     out_dir = args.out or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     jobs = [(kind, seed) for kind in MODEL_KINDS for seed in seeds]
@@ -334,6 +331,18 @@ _EXPLAIN_NEEDS = {
 }
 
 
+def _checked(convert, ok, what: str):
+    """An argparse type: convert the text, then require ok(value)."""
+    def parse(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conceptspace",
@@ -358,21 +367,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--dataset", required=True)
-    p_eval.add_argument("--metrics",
-                        help="comma list: accuracy,completeness,missing,retrieval")
+    p_eval.add_argument("--metrics", default=METRICS, type=_checked(
+        lambda t: tuple(t.split(",")), lambda v: set(v) <= set(METRICS),
+        f"a comma list of {','.join(METRICS)}"))
 
     p_expl = sub.add_parser("explain", help="export explanation artifacts")
     p_expl.add_argument("subcommand", choices=tuple(_EXPLAIN_NEEDS))
     p_expl.add_argument("--checkpoint", required=True)
     p_expl.add_argument("--dataset", required=True)
-    p_expl.add_argument("--code", help="bit string for prototype queries")
+    p_expl.add_argument("--code", help="bit string for prototype queries",
+                        type=_checked(str, lambda v: set(v) <= {"0", "1"},
+                                      "a string of 0s and 1s"))
     p_expl.add_argument("--sample-id", type=int)
     p_expl.add_argument("--modality", choices=MODALITIES)
-    p_expl.add_argument("--radius", type=float)
-    p_expl.add_argument("--top-k", type=int, default=5)
+    p_expl.add_argument("--radius", type=_checked(float, lambda v: v >= 0,
+                                                  "a nonnegative number"))
+    p_expl.add_argument("--top-k", default=5, type=_checked(int, lambda v: v >= 1,
+                                                            "a positive integer"))
 
     p_rep = sub.add_parser("reproduce", help="run every model over a seed list")
-    p_rep.add_argument("--seeds", default="0,1,2,3,4")
+    p_rep.add_argument("--seeds", default="0,1,2,3,4", type=_checked(
+        lambda t: [int(s) for s in t.split(",")], lambda v: min(v) >= 0,
+        "a comma list of nonnegative integers"))
     return parser
 
 
@@ -406,7 +422,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
 
+from .errors import ConfigurationError
+
 FORMAT_VERSION = 1
 
 REGIMES = ("end_to_end", "sequential", "local_pretrain")
@@ -124,17 +126,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        version = d.pop("version", FORMAT_VERSION)
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported config version {version}")
-        plan = TrainPlan(**d.pop("plan", {}))
-        loss_d = d.pop("loss", {})
-        if "betas" in loss_d:
-            loss_d["betas"] = tuple(loss_d["betas"])
-        loss = LossConfig(**loss_d)
-        cfg = cls(plan=plan, loss=loss, **d)
-        cfg.validate()
+        """Raises ConfigurationError for an unknown field or an invalid value."""
+        try:
+            d = dict(d)
+            version = d.pop("version", FORMAT_VERSION)
+            if version != FORMAT_VERSION:
+                raise ValueError(f"unsupported config version {version}")
+            plan = TrainPlan(**d.pop("plan", {}))
+            loss_d = dict(d.pop("loss", {}))
+            if "betas" in loss_d:
+                loss_d["betas"] = tuple(loss_d["betas"])
+            loss = LossConfig(**loss_d)
+            cfg = cls(plan=plan, loss=loss, **d)
+            cfg.validate()
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"invalid config: {exc}") from exc
         return cfg
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
@@ -162,7 +168,4 @@ class ExperimentConfig:
 def load_config(path: str, **overrides) -> ExperimentConfig:
     with open(path) as fh:
         d = json.load(fh)
-    cfg = ExperimentConfig.from_dict(d)
-    if overrides:
-        cfg = cfg.with_overrides(**overrides)
-    return cfg
+    return ExperimentConfig.from_dict(d).with_overrides(**overrides)

@@ -199,13 +199,14 @@ def append_ledger(report: EvalReport, path: str) -> None:
         writer.writerow(report.ledger_row())
 
 
+METRICS = ("accuracy", "completeness", "missing", "retrieval")
+
+
 def evaluate_model(model, index: ConceptIndex | None, split, config_hash: str,
-                   metrics=("accuracy", "completeness", "missing", "retrieval"),
-                   seed: int | None = None) -> EvalReport:
+                   metrics=METRICS) -> EvalReport:
     """Run the requested metric set; metrics needing an index are skipped
     (reported as None) when the model has no representation space."""
-    report = EvalReport(model_kind=model.kind,
-                        seed=model.config.seed if seed is None else seed,
+    report = EvalReport(model_kind=model.kind, seed=model.config.seed,
                         config_hash=config_hash)
     if "accuracy" in metrics:
         report.accuracy = accuracy(model, split.test)

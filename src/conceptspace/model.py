@@ -123,6 +123,20 @@ class ConceptStage(Module):
         return self.rescale.backward(self.sig.backward(g))
 
 
+def fresh_encoders(cfg: ExperimentConfig, rng, modalities=MODALITIES,
+                   concepts: bool = True) -> tuple[dict, dict]:
+    """New encoders for `modalities`, built (and drawing from rng) in that
+    order, and a concept stage for each when `concepts` is set (else none,
+    and the graph encoder sum-pools raw node embeddings)."""
+    encoders = {m: GraphEncoder(cfg, rng, f"enc.{m}", discretize=concepts)
+                if m == "graph" else DenseEncoder(cfg, rng, f"enc.{m}")
+                for m in modalities}
+    stages = {m: ConceptStage(cfg.local_width, f"local_rescale.{m}",
+                              cfg.rescale_momentum, cfg.rescale_eps)
+              for m in modalities} if concepts else {}
+    return encoders, stages
+
+
 class SharedStage(Module):
     """Project local concepts and rescale over the union of all modalities.
 
@@ -179,15 +193,7 @@ class SharedConceptModel(Module):
     def __init__(self, cfg: ExperimentConfig, rng, with_local_heads: bool = False):
         cfg.validate()
         self.config = cfg
-        self.encoders = {
-            "graph": GraphEncoder(cfg, rng, "enc.graph"),
-            "tabular": DenseEncoder(cfg, rng, "enc.tabular"),
-        }
-        self.concept_stages = {
-            mod: ConceptStage(cfg.local_width, f"local_rescale.{mod}",
-                              cfg.rescale_momentum, cfg.rescale_eps)
-            for mod in MODALITIES
-        }
+        self.encoders, self.concept_stages = fresh_encoders(cfg, rng)
         self.shared_stage = SharedStage(cfg, rng)
         self.predictor = MLP(len(MODALITIES) * cfg.shared_width, cfg.head_hidden,
                              cfg.n_classes, rng, "predictor")
@@ -220,11 +226,7 @@ class SharedConceptModel(Module):
         return self.shared_stage.forward(local_c, mode)
 
     def predict(self, shared: dict) -> np.ndarray:
-        missing = [m for m in MODALITIES if m not in shared]
-        if missing:
-            raise ValueError(f"missing modalities {missing}; substitute them first")
-        return self.predictor.forward(
-            np.concatenate([shared[m] for m in MODALITIES], axis=1))
+        return predict_side_by_side(self.predictor, shared)
 
     def forward(self, batch: Batch, mode: str, *, gumbel_rng=None,
                 gumbel_mode=None, with_aux: bool = False) -> ForwardResult:
@@ -284,6 +286,56 @@ class SharedConceptModel(Module):
         for m, head in self.local_heads.items():
             groups[f"local_head.{m}"] = head.params()
         return groups
+
+
+def predict_side_by_side(head, spaces: dict, modalities=MODALITIES) -> np.ndarray:
+    """Logits of a head that reads the modalities' spaces side by side, in
+    the order given; every one of them must be present."""
+    missing = [m for m in modalities if m not in spaces]
+    if missing:
+        raise ValueError(f"missing modalities {missing}; substitute them first")
+    return head.forward(np.concatenate([spaces[m] for m in modalities], axis=1))
+
+
+class ConcatHeadModel(Module):
+    """Encoders, each followed by its concept stage when stages are given,
+    and one head reading their outputs side by side in the encoders' order.
+
+    Every baseline but the relative model is one of these, and so are the
+    task-only nets that the two-phase regimes fit in phase 1 over the shared
+    model's own encoders.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, kind: str, encoders: dict,
+                 stages: dict, head: MLP):
+        self.config = cfg
+        self.kind = kind
+        self.encoders = encoders
+        self.stages = stages
+        self.head = head
+        self.trained = False
+
+    def embed(self, batch: Batch, mode: str, rng=None) -> dict:
+        """What the head reads for each modality: the encoder's output,
+        through that modality's concept stage when there are stages."""
+        out = {}
+        for m, enc in self.encoders.items():
+            z = enc.forward(*enc.inputs(batch), mode=mode, rng=rng)
+            out[m] = self.stages[m].forward(z, mode) if self.stages else z
+        return out
+
+    def predict(self, spaces: dict) -> np.ndarray:
+        return predict_side_by_side(self.head, spaces, tuple(self.encoders))
+
+    def forward(self, batch: Batch, mode: str, rng=None) -> np.ndarray:
+        return self.predict(self.embed(batch, mode, rng))
+
+    def backward(self, d_logits: np.ndarray) -> None:
+        g = self.head.backward(d_logits)
+        k = g.shape[1] // len(self.encoders)
+        for i, (m, enc) in enumerate(self.encoders.items()):
+            g_m = g[:, i * k:(i + 1) * k]
+            enc.backward(self.stages[m].backward(g_m) if self.stages else g_m)
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -349,17 +401,23 @@ def load_model(path: str):
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise CheckpointMismatchError(
             f"unsupported checkpoint version {manifest.get('version')}")
-    cfg = ExperimentConfig.from_dict(manifest["config"])
-    kind = manifest["kind"]
+    try:
+        kind, trained = manifest["kind"], manifest["trained"]
+        rescale_trained = dict(manifest["rescale_trained"])
+        names = [str(spec["name"]) for spec in manifest["blocks"]]
+        shapes = [tuple(spec["shape"]) for spec in manifest["blocks"]]
+        cfg = ExperimentConfig.from_dict(manifest["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointMismatchError(f"checkpoint manifest is damaged: {exc!r}") from exc
     if kind == SharedConceptModel.kind:
-        has_heads = any(b["name"].startswith("local_head.")
-                        for b in manifest["blocks"])
+        has_heads = any(n.startswith("local_head.") for n in names)
         model = SharedConceptModel(cfg, substream(cfg.seed, "init"),
                                    with_local_heads=has_heads)
-    else:
+    elif kind in baselines.BASELINE_KINDS:
         model = baselines.build_baseline(kind, cfg)
+    else:
+        raise CheckpointMismatchError(f"checkpoint holds an unknown model kind {kind!r}")
     targets = dict(_model_blocks(model))
-    names = [spec["name"] for spec in manifest["blocks"]]
     if sorted(names) != sorted(targets):
         missing = sorted(set(targets) - set(names))
         extra = sorted(set(names) - set(targets))
@@ -367,7 +425,6 @@ def load_model(path: str):
         raise CheckpointMismatchError(
             f"checkpoint blocks do not match a {kind} model: missing {missing}, "
             f"unexpected {extra}, repeated {repeated}")
-    shapes = [tuple(spec["shape"]) for spec in manifest["blocks"]]
     for name, shape in zip(names, shapes):
         if targets[name].shape != shape:
             raise CheckpointMismatchError(
@@ -383,7 +440,7 @@ def load_model(path: str):
                                            dtype="<f8").reshape(shape)
         offset += size
     for name, state in model.rescale_states().items():
-        state.trained = manifest["rescale_trained"].get(name, False)
-    model.trained = manifest["trained"]
+        state.trained = rescale_trained.get(name, False)
+    model.trained = trained
     return model
 

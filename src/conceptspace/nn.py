@@ -270,13 +270,13 @@ class GumbelSoftmax:
 
 
 class MLP(Module):
-    """Two dense layers with an activation in between."""
+    """Two dense layers with a ReLU in between."""
 
     def __init__(self, n_in: int, n_hidden: int, n_out: int,
-                 rng: np.random.Generator, name: str, activation=None):
+                 rng: np.random.Generator, name: str):
         self.lin1 = Linear(n_in, n_hidden, rng, f"{name}.lin1")
         self.lin2 = Linear(n_hidden, n_out, rng, f"{name}.lin2")
-        self.act = activation if activation is not None else ReLU()
+        self.act = ReLU()
 
     def forward(self, x):
         return self.lin2.forward(self.act.forward(self.lin1.forward(x)))

@@ -28,7 +28,7 @@ import numpy as np
 from .config import MODALITIES, ExperimentConfig, LossConfig
 from .data import Batch, DatasetSplit, as_arrays, batches, whole_batch
 from .errors import ConfigurationError
-from .model import ForwardResult, SharedConceptModel, _model_blocks
+from .model import ConcatHeadModel, ForwardResult, SharedConceptModel, _model_blocks
 from .nn import Adam, MLP, sigmoid
 from .rng import substream
 
@@ -118,10 +118,9 @@ def total_loss(result, batch: Batch, loss_cfg: LossConfig,
     return breakdown
 
 
-def _local_targets(batch: Batch, mod: str) -> np.ndarray:
-    y = batch.local[mod]
-    onehot = np.zeros((len(y), 2))
-    onehot[np.arange(len(y)), y] = 1.0
+def _one_hot(labels: np.ndarray) -> np.ndarray:
+    onehot = np.zeros((len(labels), 2))
+    onehot[np.arange(len(labels)), labels] = 1.0
     return onehot
 
 
@@ -157,7 +156,7 @@ def _total_loss_with_grads(result, batch: Batch, loss_cfg: LossConfig,
             if beta <= 0:
                 continue
             value, grad = _bce_with_logits(result.local_logits[mod],
-                                           _local_targets(batch, mod))
+                                           _one_hot(batch.local[mod]))
             local[mod] = value
             d_local[mod] = beta * grad
     total = task + loss_cfg.lam * reg + sum(betas[m] * v for m, v in local.items())
@@ -343,63 +342,25 @@ def _train_end_to_end(model, run: _Run):
 
 def _train_sequential(model, run: _Run):
     cfg = run.cfg
-    k = cfg.local_width
     # phase 1: encoders + throwaway head on concatenated local concepts
-    fprime = MLP(len(MODALITIES) * k, cfg.head_hidden, cfg.n_classes,
+    fprime = MLP(len(MODALITIES) * cfg.local_width, cfg.head_hidden, cfg.n_classes,
                  substream(cfg.seed, "misc"), "fprime")
-    params = {}
-    for m in MODALITIES:
-        params.update(model.encoders[m].params())
-    params.update(fprime.params())
-
-    def fprime_logits(batch, mode, gumbel_rng=None):
-        _, local = model.local_concepts(batch, mode, gumbel_rng=gumbel_rng)
-        return fprime.forward(np.concatenate([local[m] for m in MODALITIES], axis=1))
-
-    def step(batch):
-        logits = fprime_logits(batch, "train", run.gumbel_rng)
-        task, d_logits = _bce_with_logits(logits, batch.y_onehot)
-        gc = fprime.backward(d_logits)
-        for i, m in enumerate(MODALITIES):
-            gz = model.concept_stages[m].backward(gc[:, i * k:(i + 1) * k])
-            model.encoders[m].backward(gz)
-        return {"task_loss": task}
-
-    grads = {**model.grads(), **fprime.grads()}
-    history = _fit(run, params, grads, step, cfg.plan.epochs,
-                   lambda: (fprime_logits(run.test_batch, "eval"), run.test_batch.y))
+    net = ConcatHeadModel(cfg, "fprime", model.encoders, model.concept_stages, fprime)
+    history = _fit_task(run, net, net.params(), "global", cfg.plan.epochs)
     # phase 2: encoders frozen (eval mode), shared stage + predictor train
     return history + _train_shared_phase(model, run, first_epoch=len(history))
 
 
 def _train_local_pretrain(model, run: _Run):
+    """Phase 1 fits each modality's encoder and local head on that
+    modality's local labels, one modality after the other."""
     history = []
-    for mod in MODALITIES:
-        history += _train_local_head(model, run, mod, first_epoch=len(history))
+    for m in MODALITIES:
+        net = ConcatHeadModel(run.cfg, f"local_head.{m}", {m: model.encoders[m]},
+                              {m: model.concept_stages[m]}, model.local_heads[m])
+        history += _fit_task(run, net, net.params(), m, run.cfg.plan.epochs,
+                             first_epoch=len(history))
     return history + _train_shared_phase(model, run, first_epoch=len(history))
-
-
-def _train_local_head(model, run: _Run, mod: str, first_epoch: int):
-    """Phase 1 of local_pretrain for one modality: its encoder and local head
-    on that modality's local labels."""
-    head, encoder = model.local_heads[mod], model.encoders[mod]
-    stage = model.concept_stages[mod]
-
-    def head_logits(batch, mode, gumbel_rng=None):
-        z = encoder.forward(*encoder.inputs(batch), mode=mode, rng=gumbel_rng)
-        return head.forward(stage.forward(z, mode))
-
-    def step(batch):
-        logits = head_logits(batch, "train", run.gumbel_rng)
-        value, d_logits = _bce_with_logits(logits, _local_targets(batch, mod))
-        encoder.backward(stage.backward(head.backward(d_logits)))
-        return {f"local_loss_{mod}": value}
-
-    def evaluate():
-        return head_logits(run.test_batch, "eval"), run.test_batch.local[mod]
-
-    return _fit(run, {**encoder.params(), **head.params()}, model.grads(), step,
-                run.cfg.plan.epochs, evaluate, first_epoch)
 
 
 def _train_shared_phase(model, run: _Run, first_epoch: int):
@@ -422,29 +383,38 @@ def _train_shared_phase(model, run: _Run, first_epoch: int):
                 first_epoch)
 
 
-# -- generic task-only loop shared with the baselines ----------------------------
+# -- task-only fits ----------------------------------------------------------------
 
-def train_task_only(model_like, split: DatasetSplit, cfg: ExperimentConfig,
-                    epochs: int, trainable: dict | None = None,
-                    target: str = "global"):
-    """Fit any model exposing forward(batch, mode, rng)->logits and
-    backward(d_logits) on plain cross-entropy. target selects global labels
-    or a modality's local labels."""
-    run = _start(split, cfg)
+def _fit_task(run: _Run, net, params: dict, target: str, epochs: int,
+              first_epoch: int = 0) -> list[dict]:
+    """Fit net (forward(batch, mode, rng) -> logits, backward(d_logits)) on
+    plain cross-entropy against the global labels (target "global", logged
+    as task_loss) or one modality's local labels (logged as
+    local_loss_<modality>). Only `params` take Adam steps."""
+    column = "task_loss" if target == "global" else f"local_loss_{target}"
+
+    def labels(batch):
+        return batch.y if target == "global" else batch.local[target]
 
     def step(batch):
-        logits = model_like.forward(batch, "train", run.gumbel_rng)
-        targets = batch.y_onehot if target == "global" else _local_targets(batch, target)
-        value, d_logits = _bce_with_logits(logits, targets)
-        model_like.backward(d_logits)
-        return {"task_loss": value}
+        logits = net.forward(batch, "train", run.gumbel_rng)
+        value, d_logits = _bce_with_logits(logits, _one_hot(labels(batch)))
+        net.backward(d_logits)
+        return {column: value}
 
-    def evaluate():
-        labels = run.test_batch.y if target == "global" else run.test_batch.local[target]
-        return model_like.forward(run.test_batch, "eval", None), labels
+    return _fit(run, params, net.grads(), step, epochs,
+                lambda: (net.forward(run.test_batch, "eval"), labels(run.test_batch)),
+                first_epoch)
 
+
+def train_task_only(model_like, split: DatasetSplit, cfg: ExperimentConfig,
+                    epochs: int, trainable: dict | None = None):
+    """Fit any model exposing forward(batch, mode, rng)->logits and
+    backward(d_logits) on plain cross-entropy against the global labels,
+    with random substreams of its own; only `trainable` (default: every
+    parameter) takes Adam steps."""
     params = trainable if trainable is not None else model_like.parameters()
-    history = _fit(run, params, model_like.grads(), step, epochs, evaluate)
+    history = _fit_task(_start(split, cfg), model_like, params, "global", epochs)
     model_like.trained = True
     return history
 

@@ -123,3 +123,29 @@ def test_load_rejects_damaged_checkpoint(corruption, saved, tmp_path):
     bad.write_bytes(CORRUPTIONS[corruption](*_parts(saved)))
     with pytest.raises(CheckpointMismatchError):
         load_model(str(bad))
+
+
+def _edited(edit):
+    """A corruption that rewrites the manifest in place and keeps the payload."""
+    def corrupt(raw, manifest, payload):
+        edit(manifest)
+        return _pack(manifest, payload)
+    return corrupt
+
+
+MANIFEST_DAMAGE = {
+    "unknown kind": _edited(lambda m: m.update(kind="transformer")),
+    "invalid config value": _edited(lambda m: m["config"].update(n_samples=0)),
+    "unknown config field": _edited(lambda m: m["config"].update(colour="red")),
+    "blocks not a list": _edited(lambda m: m.update(blocks=7)),
+    **{f"no {key}": _edited(lambda m, key=key: m.pop(key))
+       for key in ("config", "kind", "blocks", "trained", "rescale_trained")},
+}
+
+
+@pytest.mark.parametrize("damage", MANIFEST_DAMAGE)
+def test_load_rejects_damaged_manifest(damage, saved, tmp_path):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(MANIFEST_DAMAGE[damage](*_parts(saved)))
+    with pytest.raises(CheckpointMismatchError):
+        load_model(str(bad))

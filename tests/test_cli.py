@@ -305,3 +305,63 @@ def test_truncated_checkpoint_exits_4(workdir, tmp_path, capsys):
 
 def test_help_exits_0():
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["explain", "prototype", "--code", "1x"],
+    ["explain", "crossmodal", "--sample-id", "3", "--modality", "graph", "--top-k", "-2"],
+    ["explain", "crossmodal", "--sample-id", "3", "--modality", "graph", "--top-k", "0"],
+    ["explain", "neighborhood", "--sample-id", "3", "--modality", "graph",
+     "--radius", "-0.5"],
+    ["eval", "--metrics", "bogus"],
+    ["eval", "--metrics", "accuracy,bogus"],
+], ids=["code not binary", "negative top-k", "zero top-k", "negative radius",
+        "unknown metric", "one unknown metric"])
+def test_bad_option_value_is_a_usage_error(workdir, tmp_path, args, capsys):
+    assert main(["--out", str(tmp_path), *args, "--checkpoint", workdir["ckpt"],
+                 "--dataset", workdir["dataset"]]) == 1
+    assert "error: argument --" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_bad_seed_list_is_a_usage_error(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "reproduce", "--seeds", "0,x"]) == 1
+    assert "'0,x'" in capsys.readouterr().err
+
+
+def test_prototype_code_of_wrong_width_exits_5(workdir, tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "explain", "prototype", "--code", "101",
+                 "--checkpoint", workdir["ckpt"], "--dataset", workdir["dataset"]]) == 5
+    assert "16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(n_samples=-5),
+    lambda d: d["plan"].update(regime="backwards"),
+    lambda d: d.update(colour="red"),
+    lambda d: d.update(plan=[1, 2]),
+], ids=["invalid value", "invalid plan value", "unknown field", "plan not an object"])
+def test_invalid_config_file_exits_3(tmp_path, edit, capsys):
+    doc = ExperimentConfig(n_samples=40).to_dict()
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "--out", str(tmp_path / "d.json"),
+                 "generate"]) == 3
+    assert "invalid config" in capsys.readouterr().err
+
+
+def test_malformed_json_config_exits_2(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"n_samples": 40,')
+    assert main(["--config", str(path), "--out", str(tmp_path / "d.json"),
+                 "generate"]) == 2
+
+
+def test_malformed_json_dataset_exits_2(workdir, tmp_path):
+    bad = tmp_path / "dataset.json"
+    bad.write_text(open(workdir["dataset"]).read()[:100])
+    assert main(["--config", workdir["config"], "--out", str(tmp_path), "train",
+                 "--dataset", str(bad), "--model", "shared"]) == 2
+    assert main(["--out", str(tmp_path), "eval", "--checkpoint", workdir["ckpt"],
+                 "--dataset", str(bad)]) == 2

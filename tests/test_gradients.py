@@ -9,11 +9,12 @@ group via relative L2 error.
 import numpy as np
 import pytest
 
+from conceptspace.baselines import build_baseline
 from conceptspace.config import ExperimentConfig
 from conceptspace.data import generate_xor_and_xor, whole_batch
 from conceptspace.model import SharedConceptModel
 from conceptspace.rng import substream
-from conceptspace.training import _total_loss_with_grads
+from conceptspace.training import _bce_with_logits, _total_loss_with_grads, task_loss
 
 STEP = 1e-5
 TOLERANCE = 1e-4
@@ -78,3 +79,39 @@ def test_gradients_with_local_losses(micro_batch):
     for group, err in errors.items():
         assert err < TOLERANCE, f"{group}: {err}"
     assert "local_head.graph" in errors
+
+
+@pytest.mark.parametrize("kind", ["mod_graph", "mod_tabular", "cbm_tabular", "simple"])
+def test_gradients_concat_head_baselines(kind, micro_batch):
+    """Baselines whose train-mode forward draws no sample: their backward
+    against central differences of the task loss, per layer."""
+    model = build_baseline(kind, ExperimentConfig(seed=0), substream(5, "init"))
+
+    def loss_value():
+        return task_loss(model.forward(micro_batch, "train"), micro_batch.y_onehot)
+
+    model.zero_grad()
+    _, d_logits = _bce_with_logits(model.forward(micro_batch, "train"),
+                                   micro_batch.y_onehot)
+    model.backward(d_logits)
+    analytic = {k: v.copy() for k, v in model.grads().items()}
+    layers = {}
+    for name, arr in model.parameters().items():
+        flat = arr.ravel()
+        fd = np.zeros(flat.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + STEP
+            up = loss_value()
+            flat[i] = orig - STEP
+            down = loss_value()
+            flat[i] = orig
+            fd[i] = (up - down) / (2 * STEP)
+        got, want = layers.setdefault(name.rsplit(".", 1)[0], ([], []))
+        got.append(analytic[name].ravel())
+        want.append(fd)
+    assert {layer.split(".")[0] for layer in layers} == {"enc", "head"}
+    for layer, (got, want) in layers.items():
+        got, want = np.concatenate(got), np.concatenate(want)
+        err = np.linalg.norm(got - want) / (np.linalg.norm(want) + 1e-12)
+        assert err < TOLERANCE, f"{kind} {layer}: {err}"
