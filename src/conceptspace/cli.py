@@ -1,8 +1,9 @@
 """Command-line harness: generate / train / eval / explain / reproduce.
 
-Exit codes: 0 success, 1 usage error, 2 I/O failure, 3 configuration or
-model/regime mismatch, 4 checkpoint/dataset mismatch, 5 explanation-domain
-error (e.g. a concept code no training sample carries).
+Exit codes: 0 success, 1 usage error, 2 I/O failure or a malformed dataset
+file, 3 configuration or model/regime mismatch, 4 checkpoint/dataset
+mismatch, 5 explanation-domain error (e.g. a concept code no training sample
+carries).
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ import numpy as np
 from .baselines import BASELINE_KINDS, build_baseline, train_baseline
 from .config import MODALITIES, ExperimentConfig, load_config
 from .data import generate_xor_and_xor, load_dataset, save_dataset, split
-from .errors import CheckpointMismatchError, ConfigurationError, NoSuchConceptError
+from .errors import (
+    CheckpointMismatchError,
+    ConfigurationError,
+    DatasetError,
+    NoSuchConceptError,
+)
 from .evaluation import METRICS, append_ledger, evaluate_model
 from .explain import (
     build_index,
@@ -422,7 +428,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise ValueError("split_ratio must be in (0, 1)")
         if self.random_edge_max < 0:
             raise ValueError("random_edge_max must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.bijection not in BIJECTIONS:
             raise ValueError(f"bijection must be one of {BIJECTIONS}")
         for name in ("local_width", "shared_width", "dense_hidden", "graph_hidden",
@@ -144,9 +146,13 @@ class ExperimentConfig:
         return cfg
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        """Copy with top-level fields replaced (flags > file > defaults)."""
+        """Copy with top-level fields replaced (flags > file > defaults).
+        Raises ConfigurationError for an invalid value."""
         cfg = replace(self, **kwargs)
-        cfg.validate()
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            raise ConfigurationError(f"invalid config: {exc}") from exc
         return cfg
 
     def canonical_json(self) -> str:

@@ -9,6 +9,7 @@ betweenness centralities computed after random-edge injection.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import DatasetError
 from .rng import substream
 
 DATASET_VERSION = 1
@@ -252,11 +254,28 @@ def tabular_rendering(sample: PairedSample, bijection: str = "default") -> tuple
     return code + tuple(int(b) for b in padding)
 
 
-def graph_rendering(sample: PairedSample, bijection: str = "default"):
-    """The tabular content as a canonical family graph (edges, features)."""
-    family = bits_to_family(sample.tabular.bits[:2], bijection)
+@functools.lru_cache(maxsize=len(FAMILIES))
+def _canonical_graph(family: GraphFamily):
+    """A family's canonical graph as (edges, betweenness features, normalized
+    adjacency). It depends on the family alone, so it is computed once per
+    family; the arrays are read-only because every caller shares them."""
     edges = tuple(sorted(_family_edges(family)))
-    return edges, betweenness(NODE_COUNT, edges)
+    feats = betweenness(NODE_COUNT, edges)
+    adj = normalized_adjacency(NODE_COUNT, edges)
+    feats.setflags(write=False)
+    adj.setflags(write=False)
+    return edges, feats, adj
+
+
+def _rendered_graph(sample: PairedSample, bijection: str):
+    return _canonical_graph(bits_to_family(sample.tabular.bits[:2], bijection))
+
+
+def graph_rendering(sample: PairedSample, bijection: str = "default"):
+    """The tabular content as a canonical family graph (edges, features).
+    The features are a shared read-only array."""
+    edges, feats, _ = _rendered_graph(sample, bijection)
+    return edges, feats
 
 
 # -- batching ----------------------------------------------------------------
@@ -309,9 +328,9 @@ def as_arrays(samples, bijection: str = "default", with_aux: bool = True) -> dic
         arr["aux_graph_adj"] = np.zeros((n, NODE_COUNT, NODE_COUNT))
         arr["aux_tab_x"] = np.zeros((n, N_BITS))
         for k, s in enumerate(samples):
-            edges, feats = graph_rendering(s, bijection)
+            _, feats, adj = _rendered_graph(s, bijection)
             arr["aux_graph_x"][k, :, 0] = feats
-            arr["aux_graph_adj"][k] = normalized_adjacency(NODE_COUNT, edges)
+            arr["aux_graph_adj"][k] = adj
             arr["aux_tab_x"][k] = tabular_rendering(s, bijection)
     return arr
 
@@ -377,12 +396,20 @@ def whole_batch(samples, arrays: dict | None = None,
     return _batch_from_arrays(arrays, np.arange(len(arrays["ids"])))
 
 
-def translation_batch(samples, bijection: str = "default") -> Batch:
+def _eval_batch(samples) -> Batch:
+    """All samples as one batch without the translation renderings, which
+    eval-mode encoding never reads."""
+    return whole_batch(samples, as_arrays(samples, with_aux=False))
+
+
+def translation_batch(samples, bijection: str = "default",
+                      arrays: dict | None = None) -> Batch:
     """A batch whose modality slots hold the cross-modal renderings: the graph
     slot carries each sample's tabular content as a graph, the tabular slot
     the graph content as bits. Encoding it yields the auxiliary
-    representations used when a modality is missing."""
-    arr = as_arrays(samples, bijection)
+    representations used when a modality is missing. Given `arrays`, they
+    must hold the aux rows."""
+    arr = arrays if arrays is not None else as_arrays(samples, bijection)
     swapped = dict(arr)
     swapped["graph_x"], swapped["aux_graph_x"] = arr["aux_graph_x"], arr["graph_x"]
     swapped["graph_adj"], swapped["aux_graph_adj"] = arr["aux_graph_adj"], arr["graph_adj"]
@@ -419,27 +446,71 @@ def save_dataset(samples, path: str, *, seed: int, random_edge_max: int,
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
 
 
+_HEADER_FIELDS = ("version", "seed", "n_samples", "random_edge_max", "bijection")
+_RECORD_FIELDS = ("id", "bits", "family", "edges", "features", "local_tab",
+                  "local_graph", "global")
+
+
+def _sample_from_record(rec: dict, bijection: str) -> PairedSample:
+    missing = [k for k in _RECORD_FIELDS if k not in rec]
+    if missing:
+        raise ValueError(f"lacks {', '.join(missing)}")
+    if not isinstance(rec["id"], int):
+        raise ValueError(f"id {rec['id']!r} is not an integer")
+    if len(rec["features"]) != NODE_COUNT:
+        raise ValueError(f"has {len(rec['features'])} nodes, not {NODE_COUNT}")
+    graph = GraphSample(
+        node_count=NODE_COUNT,
+        edges=tuple(tuple(e) for e in rec["edges"]),
+        node_features=tuple(rec["features"]),
+        family=GraphFamily(rec["family"]),
+    )
+    tab = TabularSample(tuple(rec["bits"]))
+    code = family_to_bits(graph.family, bijection)
+    local_graph = code[0] ^ code[1]
+    labels = {"local_tab": tab.local_label, "local_graph": local_graph,
+              "global": tab.local_label & local_graph}
+    for key, want in labels.items():
+        if rec[key] != want:
+            raise ValueError(f"{key} is {rec[key]!r}, its bits and family give {want}")
+    return PairedSample(id=rec["id"], tabular=tab, graph=graph,
+                        local_label_tab=rec["local_tab"],
+                        local_label_graph=rec["local_graph"],
+                        global_label=rec["global"])
+
+
 def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
+    """Read a file written by save_dataset. Raises DatasetError when a header
+    field, `samples` or a record field is missing, the header's n_samples
+    differs from the record count, an id repeats, a graph does not have
+    NODE_COUNT nodes, or a label disagrees with the bits and family. Stored
+    features are taken as they are."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise DatasetError("dataset is not a JSON object")
     if doc.get("version") != DATASET_VERSION:
-        raise ValueError(f"unsupported dataset version {doc.get('version')}")
-    samples = []
-    for rec in doc["samples"]:
-        graph = GraphSample(
-            node_count=len(rec["features"]),
-            edges=tuple(tuple(e) for e in rec["edges"]),
-            node_features=tuple(rec["features"]),
-            family=GraphFamily(rec["family"]),
-        )
-        samples.append(PairedSample(
-            id=rec["id"],
-            tabular=TabularSample(tuple(rec["bits"])),
-            graph=graph,
-            local_label_tab=rec["local_tab"],
-            local_label_graph=rec["local_graph"],
-            global_label=rec["global"],
-        ))
-    header = {k: doc[k] for k in ("version", "seed", "n_samples", "random_edge_max",
-                                  "bijection")}
+        raise DatasetError(f"unsupported dataset version {doc.get('version')}")
+    missing = [k for k in (*_HEADER_FIELDS, "samples") if k not in doc]
+    if missing:
+        raise DatasetError(f"dataset lacks {', '.join(missing)}")
+    records = doc["samples"]
+    if not isinstance(records, list):
+        raise DatasetError("dataset samples is not a list")
+    if doc["n_samples"] != len(records):
+        raise DatasetError(f"dataset header says {doc['n_samples']} samples, "
+                           f"it holds {len(records)}")
+    if doc["bijection"] not in _BIJECTIONS:
+        raise DatasetError(f"unknown bijection {doc['bijection']!r}")
+    samples, seen = [], set()
+    for pos, rec in enumerate(records):
+        try:
+            sample = _sample_from_record(rec, doc["bijection"])
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"dataset record {pos}: {exc}") from None
+        if sample.id in seen:
+            raise DatasetError(f"dataset id {sample.id} appears more than once")
+        seen.add(sample.id)
+        samples.append(sample)
+    header = {k: doc[k] for k in _HEADER_FIELDS}
     return samples, header

@@ -11,3 +11,7 @@ class CheckpointMismatchError(RuntimeError):
 
 class NoSuchConceptError(LookupError):
     """No training sample carries the requested binarized concept code."""
+
+
+class DatasetError(ValueError):
+    """A dataset file lacks a field or contradicts itself."""

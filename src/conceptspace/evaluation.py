@@ -12,6 +12,7 @@ present modality) before predicting.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -19,17 +20,50 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MODALITIES
-from .data import translation_batch, whole_batch
+from .data import as_arrays, translation_batch, whole_batch
 from .explain import ConceptIndex, substitute_matrix
 from .tree import BinaryCodeTree
 
 
+class _EncodedSamples(tuple):
+    """Samples packed into model-ready arrays once, with the model's eval
+    logits and index spaces for them, each computed on first use.
+    evaluate_model hands one to every metric helper it calls, so the test
+    split is packed once, run forward once and encoded once per batch; a
+    helper given plain samples packs its own."""
+
+    def __new__(cls, model, samples, with_aux: bool):
+        self = super().__new__(cls, samples)
+        self.model = model
+        self.arrays = as_arrays(self, model.config.bijection, with_aux=with_aux)
+        self.batch = whole_batch(self, self.arrays)
+        return self
+
+    @functools.cached_property
+    def logits(self) -> np.ndarray:
+        out = self.model.forward(self.batch, "eval")
+        return getattr(out, "logits", out)
+
+    @functools.cached_property
+    def spaces(self) -> dict:
+        return self.model.index_spaces(self.batch)
+
+    @functools.cached_property
+    def aux_spaces(self) -> dict:
+        """Index spaces of the translation batch (the aux rows swapped in)."""
+        return self.model.index_spaces(translation_batch(self, arrays=self.arrays))
+
+
+def _encoded(model, samples, with_aux: bool = False) -> _EncodedSamples:
+    if isinstance(samples, _EncodedSamples):
+        return samples
+    return _EncodedSamples(model, samples, with_aux)
+
+
 def accuracy(model, samples) -> float:
     """Fraction of samples whose argmax logit matches the global label."""
-    batch = whole_batch(samples)
-    out = model.forward(batch, "eval")
-    logits = getattr(out, "logits", out)
-    return float((logits.argmax(axis=1) == batch.y).mean())
+    enc = _encoded(model, samples)
+    return float((enc.logits.argmax(axis=1) == enc.batch.y).mean())
 
 
 @dataclass
@@ -74,10 +108,16 @@ def completeness(index: ConceptIndex, test_codes: np.ndarray,
 
 def model_codes(model, samples) -> tuple[np.ndarray, np.ndarray]:
     """Binarized concatenated representations plus global labels."""
-    batch = whole_batch(samples)
-    spaces = model.index_spaces(batch)
-    z = np.concatenate([spaces[m] for m in MODALITIES], axis=1)
-    return (z >= 0.5).astype(np.uint8), batch.y
+    enc = _encoded(model, samples)
+    z = np.concatenate([enc.spaces[m] for m in MODALITIES], axis=1)
+    return (z >= 0.5).astype(np.uint8), enc.batch.y
+
+
+def _other_modality(modality: str) -> str:
+    others = [m for m in MODALITIES if m != modality]
+    if len(others) != 1:
+        raise ValueError(f"unknown modality {modality!r}")
+    return others[0]
 
 
 def missing_modality_eval(model, index: ConceptIndex, samples,
@@ -89,19 +129,13 @@ def missing_modality_eval(model, index: ConceptIndex, samples,
     training vector from the missing modality's space stands in for it; the
     present modality keeps its own rendering.
     """
-    present = [m for m in MODALITIES if m != missing_modality]
-    if len(present) != 1:
-        raise ValueError(f"unknown modality {missing_modality!r}")
-    present = present[0]
-    bijection = model.config.bijection
-    batch = whole_batch(samples, bijection=bijection)
-    spaces = model.index_spaces(batch)
-    aux_spaces = model.index_spaces(translation_batch(samples, bijection))
-    queries = aux_spaces[present]     # the missing content, seen by the present encoder
+    present = _other_modality(missing_modality)
+    enc = _encoded(model, samples, with_aux=True)
+    queries = enc.aux_spaces[present]   # the missing content, seen by the present encoder
     substituted, _ = substitute_matrix(index, queries, missing_modality)
-    logits = model.predict({present: spaces[present],
+    logits = model.predict({present: enc.spaces[present],
                             missing_modality: substituted})
-    return float((logits.argmax(axis=1) == batch.y).mean())
+    return float((logits.argmax(axis=1) == enc.batch.y).mean())
 
 
 def retrieval_label_match(model, index: ConceptIndex, samples,
@@ -111,20 +145,18 @@ def retrieval_label_match(model, index: ConceptIndex, samples,
     source, target = direction
     if source == target:
         raise ValueError("retrieval direction must cross modalities")
-    batch = whole_batch(samples)
-    spaces = model.index_spaces(batch)
+    enc = _encoded(model, samples)
     stored = index.spaces[target]
-    d2 = ((spaces[source][:, None, :] - stored[None, :, :]) ** 2).sum(axis=2)
+    d2 = ((enc.spaces[source][:, None, :] - stored[None, :, :]) ** 2).sum(axis=2)
     rows = d2.argmin(axis=1)
     retrieved = index.local_labels[target][rows]
-    return float((retrieved == batch.local[source]).mean())
+    return float((retrieved == enc.batch.local[source]).mean())
 
 
 def paired_shared_distance(model, samples) -> float:
     """Mean cross-modal Euclidean distance between a sample's own
     representations; the quantity the training regularizer pulls down."""
-    batch = whole_batch(samples)
-    spaces = model.index_spaces(batch)
+    spaces = _encoded(model, samples).spaces
     diff = spaces[MODALITIES[0]] - spaces[MODALITIES[1]]
     return float(np.sqrt((diff * diff).sum(axis=1)).mean())
 
@@ -205,22 +237,27 @@ METRICS = ("accuracy", "completeness", "missing", "retrieval")
 def evaluate_model(model, index: ConceptIndex | None, split, config_hash: str,
                    metrics=METRICS) -> EvalReport:
     """Run the requested metric set; metrics needing an index are skipped
-    (reported as None) when the model has no representation space."""
+    (reported as None) when the model has no representation space.
+
+    The metrics share one packing of the test split, one forward pass, and
+    one encoding each of the own and the translation batch."""
     report = EvalReport(model_kind=model.kind, seed=model.config.seed,
                         config_hash=config_hash)
-    if "accuracy" in metrics:
-        report.accuracy = accuracy(model, split.test)
     indexable = index is not None and hasattr(model, "index_spaces")
+    test = _EncodedSamples(model, split.test,
+                           with_aux=indexable and "missing" in metrics)
+    if "accuracy" in metrics:
+        report.accuracy = accuracy(model, test)
     if "completeness" in metrics and indexable and getattr(model, "concept_based", False):
-        codes, labels = model_codes(model, split.test)
+        codes, labels = model_codes(model, test)
         report.completeness = completeness(index, codes, labels).score
     if "missing" in metrics and indexable:
         for mod in MODALITIES:
-            report.missing[mod] = missing_modality_eval(model, index, split.test, mod)
+            report.missing[mod] = missing_modality_eval(model, index, test, mod)
     if "retrieval" in metrics and indexable:
         for source in MODALITIES:
-            target = [m for m in MODALITIES if m != source][0]
+            target = _other_modality(source)
             report.retrieval[f"{source}->{target}"] = retrieval_label_match(
-                model, index, split.test, (source, target))
+                model, index, test, (source, target))
     report.validate()
     return report

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MODALITIES
-from .data import whole_batch
+from .data import _eval_batch
 from .errors import NoSuchConceptError
 
 EXPLANATION_KINDS = ("neighborhood", "cross_modal", "substitution")
@@ -51,7 +51,7 @@ def build_index(model, samples) -> ConceptIndex:
         raise RuntimeError("index requires a trained model")
     order = np.argsort([s.id for s in samples])
     ordered = [samples[i] for i in order]
-    batch = whole_batch(ordered)
+    batch = _eval_batch(ordered)
     spaces = model.index_spaces(batch)
     z = codes = None
     if getattr(model, "concept_based", False):
@@ -101,7 +101,7 @@ def save_explanation(expl: Explanation, path: str) -> None:
 
 def encode_samples(model, samples) -> dict:
     """Eval-mode representations for arbitrary samples (test or train)."""
-    return model.index_spaces(whole_batch(samples))
+    return model.index_spaces(_eval_batch(samples))
 
 
 # -- queries -------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MODALITIES, ExperimentConfig, LossConfig
-from .data import Batch, DatasetSplit, as_arrays, batches, whole_batch
+from .data import Batch, DatasetSplit, _eval_batch, as_arrays, batches
 from .errors import ConfigurationError
 from .model import ConcatHeadModel, ForwardResult, SharedConceptModel, _model_blocks
 from .nn import Adam, MLP, sigmoid
@@ -248,7 +248,7 @@ class _Run:
     cfg: ExperimentConfig
     split: DatasetSplit
     train_arrays: dict
-    test_batch: Batch
+    test_batch: Batch             # eval mode only, so without aux rows
     shuffle_rng: np.random.Generator
     gumbel_rng: np.random.Generator
     reg_rng: np.random.Generator
@@ -256,7 +256,7 @@ class _Run:
 
 def _start(split: DatasetSplit, cfg: ExperimentConfig) -> _Run:
     return _Run(cfg, split, as_arrays(split.train, cfg.bijection),
-                whole_batch(split.test, bijection=cfg.bijection),
+                _eval_batch(split.test),
                 substream(cfg.seed, "shuffle"), substream(cfg.seed, "gumbel"),
                 substream(cfg.seed, "regdraw"))
 

@@ -351,6 +351,12 @@ def test_invalid_config_file_exits_3(tmp_path, edit, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_3(tmp_path, capsys):
+    assert main(["--seed", "-1", "--out", str(tmp_path / "d.json"), "generate"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err and len(err.splitlines()) == 1
+
+
 def test_malformed_json_config_exits_2(tmp_path):
     path = tmp_path / "config.json"
     path.write_text('{"n_samples": 40,')
@@ -365,3 +371,20 @@ def test_malformed_json_dataset_exits_2(workdir, tmp_path):
                  "--dataset", str(bad), "--model", "shared"]) == 2
     assert main(["--out", str(tmp_path), "eval", "--checkpoint", workdir["ckpt"],
                  "--dataset", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: {"version": 1},
+    lambda d: {**d, "n_samples": d["n_samples"] - 1},
+    lambda d: {**d, "samples": d["samples"][:1] + d["samples"][:1] + d["samples"][2:]},
+], ids=["version only", "count differs from header", "repeated id"])
+def test_damaged_dataset_exits_2(workdir, tmp_path, edit, capsys):
+    doc = json.loads(open(workdir["dataset"]).read())
+    bad = tmp_path / "dataset.json"
+    bad.write_text(json.dumps(edit(doc)))
+    assert main(["--config", workdir["config"], "--out", str(tmp_path), "train",
+                 "--dataset", str(bad), "--model", "shared"]) == 2
+    assert main(["--out", str(tmp_path), "eval", "--checkpoint", workdir["ckpt"],
+                 "--dataset", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: dataset") for line in err)

@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from conceptspace.config import BIJECTIONS
 from conceptspace.data import (
     FAMILIES,
+    NODE_COUNT,
     GraphFamily,
     GraphSample,
     TabularSample,
+    as_arrays,
     batches,
     betweenness,
     bits_to_family,
@@ -23,6 +26,7 @@ from conceptspace.data import (
     whole_batch,
     _family_edges,
 )
+from conceptspace.errors import DatasetError
 
 from oracles import betweenness_oracle, label_oracle
 
@@ -274,6 +278,25 @@ def test_graph_rendering_carries_bit_content(thousand):
         assert np.allclose(feats, betweenness(10, edges))
 
 
+@pytest.mark.parametrize("bijection", BIJECTIONS)
+def test_cached_renderings_equal_fresh_ones(thousand, bijection):
+    for family in FAMILIES:
+        code = family_to_bits(family, bijection)
+        some = [s for s in thousand if s.tabular.bits[:2] == code][:3]
+        edges = tuple(sorted(_family_edges(family)))
+        want_x = betweenness(NODE_COUNT, edges)
+        want_adj = normalized_adjacency(NODE_COUNT, edges)
+        for _ in range(2):           # the second pass reads the cache
+            arr = as_arrays(some, bijection)
+            for k in range(len(some)):
+                assert np.array_equal(arr["aux_graph_x"][k, :, 0], want_x)
+                assert np.array_equal(arr["aux_graph_adj"][k], want_adj)
+            got_edges, feats = graph_rendering(some[0], bijection)
+            assert got_edges == edges and np.array_equal(feats, want_x)
+            with pytest.raises(ValueError):
+                feats[0] = 1.0       # shared by every later batch: read-only
+
+
 def test_translation_batch_swaps_renderings(thousand):
     some = thousand[:6]
     own = whole_batch(some)
@@ -306,4 +329,35 @@ def test_dataset_version_checked(tmp_path):
            "bijection": "default", "samples": []}
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
+        load_dataset(str(path))
+
+
+def _saved_doc(tmp_path, samples):
+    path = tmp_path / "d.json"
+    save_dataset(samples, str(path), seed=0, random_edge_max=2, bijection="default")
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("seed"),
+    lambda d: d.pop("samples"),
+    lambda d: d["samples"][1].pop("edges"),
+    lambda d: d.update(n_samples=d["n_samples"] + 1),
+    lambda d: d["samples"][2].update(id=d["samples"][0]["id"]),
+    lambda d: d["samples"][1].update(features=d["samples"][1]["features"][:9]),
+    lambda d: d["samples"][1].update(local_tab=1 - d["samples"][1]["local_tab"]),
+    lambda d: d["samples"][1].update(local_graph=1 - d["samples"][1]["local_graph"]),
+    lambda d: d["samples"][1].update(**{"global": 1 - d["samples"][1]["global"]}),
+    lambda d: d["samples"][1].update(family="triangle"),
+    lambda d: d.update(samples={}),
+], ids=["missing header field", "missing samples", "missing record field",
+        "count differs from header", "repeated id", "nine nodes",
+        "local_tab disagrees", "local_graph disagrees", "global disagrees",
+        "unknown family", "samples not a list"])
+def test_load_rejects_damaged_dataset(tmp_path, thousand, edit):
+    doc = _saved_doc(tmp_path, thousand[:5])
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError):
         load_dataset(str(path))

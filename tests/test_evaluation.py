@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from conceptspace.config import ExperimentConfig, MODALITIES
+from conceptspace.baselines import build_baseline, train_baseline
+from conceptspace.config import ExperimentConfig, MODALITIES, TrainPlan
 from conceptspace.data import batches, generate_xor_and_xor, split, whole_batch
 from conceptspace.evaluation import (
     EvalReport,
@@ -281,3 +282,26 @@ def test_repeated_eval_is_identical(small_model, small_split, small_cfg):
     a = evaluate_model(model, index, small_split, small_cfg.hash()).to_dict()
     b = evaluate_model(model, index, small_split, small_cfg.hash()).to_dict()
     assert a == b
+
+
+@pytest.mark.parametrize("kind", ["shared", "concept", "relative"])
+def test_evaluate_model_equals_public_helpers(kind, small_model, small_split, small_cfg):
+    if kind == "shared":
+        model, _ = small_model
+    else:
+        cfg = small_cfg.with_overrides(plan=TrainPlan(epochs=5, phase2_epochs=5))
+        model = build_baseline(kind, cfg)
+        train_baseline(model, small_split, cfg)
+    index = build_index(model, small_split.train)
+    test = small_split.test
+    report = evaluate_model(model, index, small_split, "h")
+    assert report.accuracy == accuracy(model, test)
+    if kind == "relative":
+        assert report.completeness is None
+    else:
+        assert report.completeness == completeness(index, *model_codes(model, test)).score
+    assert report.missing == {m: missing_modality_eval(model, index, test, m)
+                              for m in MODALITIES}
+    assert report.retrieval == {
+        f"{a}->{b}": retrieval_label_match(model, index, test, (a, b))
+        for a, b in [MODALITIES, MODALITIES[::-1]]}

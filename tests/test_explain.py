@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from conceptspace.config import MODALITIES
+from conceptspace.config import BIJECTIONS, MODALITIES
+from conceptspace.data import whole_batch
 from conceptspace.errors import NoSuchConceptError
 from conceptspace.explain import (
     ConceptIndex,
@@ -100,6 +101,18 @@ def test_index_order_independent_of_storage_order(trained):
     assert np.array_equal(index.ids, again.ids)
     for m in MODALITIES:
         assert np.allclose(index.spaces[m], again.spaces[m])
+
+
+@pytest.mark.parametrize("bijection", BIJECTIONS)
+def test_spaces_do_not_depend_on_aux_rows(trained, bijection):
+    model, index, ds = trained
+    ordered = sorted(ds.train, key=lambda s: s.id)
+    with_aux = model.index_spaces(whole_batch(ordered, bijection=bijection))
+    encoded = encode_samples(model, ds.test)
+    test_with_aux = model.index_spaces(whole_batch(ds.test, bijection=bijection))
+    for m in MODALITIES:
+        assert index.spaces[m].tobytes() == with_aux[m].tobytes()
+        assert encoded[m].tobytes() == test_with_aux[m].tobytes()
 
 
 def test_untrained_model_rejected(small_cfg):
