@@ -79,7 +79,7 @@ class ExperimentConfig:
     graph_layers: int = 5
     projector_hidden: int = 8
     head_hidden: int = 10
-    n_classes: int = 2
+    n_classes: int = 2                # must be 2: every label is binary
     tau: float = 1.0                  # straight-through softmax temperature
     leaky_slope: float = 0.01
     rescale_momentum: float = 0.1
@@ -103,13 +103,18 @@ class ExperimentConfig:
         if self.bijection not in BIJECTIONS:
             raise ValueError(f"bijection must be one of {BIJECTIONS}")
         for name in ("local_width", "shared_width", "dense_hidden", "graph_hidden",
-                     "graph_layers", "projector_hidden", "head_hidden", "n_classes",
-                     "anchor_count"):
+                     "graph_layers", "projector_hidden", "head_hidden", "anchor_count"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.n_classes != 2:
+            raise ValueError("n_classes must be 2: every label is binary")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.anchor_count > round(self.n_samples * self.split_ratio):
+        n_train = round(self.n_samples * self.split_ratio)   # as data.split counts
+        if n_train < 2 or n_train == self.n_samples:
+            raise ValueError(f"split_ratio leaves {n_train} of {self.n_samples} samples "
+                             "to train; at least 2 must train and 1 must test")
+        if self.anchor_count > n_train:
             raise ValueError("anchor_count cannot exceed the training split size")
         if not 0 < self.rescale_momentum <= 1:
             raise ValueError("rescale_momentum must be in (0, 1]")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import MODALITIES
 from .data import as_arrays, translation_batch, whole_batch
-from .explain import ConceptIndex, substitute_matrix
+from .explain import ConceptIndex, _nearest, substitute_matrix
 from .tree import BinaryCodeTree
 
 
@@ -146,9 +146,7 @@ def retrieval_label_match(model, index: ConceptIndex, samples,
     if source == target:
         raise ValueError("retrieval direction must cross modalities")
     enc = _encoded(model, samples)
-    stored = index.spaces[target]
-    d2 = ((enc.spaces[source][:, None, :] - stored[None, :, :]) ** 2).sum(axis=2)
-    rows = d2.argmin(axis=1)
+    rows, _ = _nearest(index.spaces[target], enc.spaces[source])
     retrieved = index.local_labels[target][rows]
     return float((retrieved == enc.batch.local[source]).mean())
 

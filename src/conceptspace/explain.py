@@ -7,8 +7,9 @@ exhaustive nearest-neighbor scans: prototypes (sample closest to a concept
 cluster's centroid), radius neighborhoods, cross-modal retrieval, and the
 nearest-stored-concept substitution used for missing-modality inference.
 
-Rows are stored sorted by sample id, so numpy's first-occurrence argmin
-realizes the smallest-id tie-break everywhere.
+Every query runs one of two scans, `_nearest` or `_ranked`. Rows are stored
+sorted by sample id, so `_nearest`'s first-occurrence argmin breaks ties
+toward the smallest id, as `_ranked`'s last sort key does.
 """
 
 from __future__ import annotations
@@ -106,6 +107,32 @@ def encode_samples(model, samples) -> dict:
 
 # -- queries -------------------------------------------------------------------
 
+def _nearest(stored: np.ndarray, queries: np.ndarray):
+    """(rows, distances): for each query row, the first stored row at the
+    least Euclidean distance, ranked on squared distances."""
+    if len(stored) == 0:
+        raise RuntimeError("empty index")
+    d2 = ((queries[:, None, :] - stored[None, :, :]) ** 2).sum(axis=2)
+    rows = d2.argmin(axis=1)
+    return rows, np.sqrt(d2[np.arange(len(rows)), rows])
+
+
+def _ranked(index: ConceptIndex, query_vec: np.ndarray, modalities,
+            radius: float | None, top_k: int | None) -> list:
+    """(id, modality, distance) of the stored rows of `modalities`, ordered by
+    (distance, modality, id): those strictly within `radius`, or else the
+    first `top_k`."""
+    n = len(index)
+    dists = np.array([np.linalg.norm(index.spaces[m] - query_vec, axis=1)
+                      for m in modalities]).ravel()
+    names = np.repeat(np.asarray(modalities, dtype=str), n)
+    ids = np.tile(index.ids, len(modalities))
+    kept = np.flatnonzero(dists < radius) if radius is not None else np.arange(len(dists))
+    order = kept[np.lexsort((ids[kept], names[kept], dists[kept]))][:top_k]
+    return [(i, modalities[k // n], d) for k, i, d in
+            zip(order.tolist(), ids[order].tolist(), dists[order].tolist())]
+
+
 def prototype(index: ConceptIndex, code) -> int:
     """Training sample nearest to the centroid of all samples whose binarized
     global concatenation equals `code`. The argmin runs over the whole
@@ -119,10 +146,8 @@ def prototype(index: ConceptIndex, code) -> int:
     if not members.any():
         raise NoSuchConceptError(
             "no training sample has code " + "".join(str(int(b)) for b in code))
-    centroid = index.z[members].mean(axis=0)
-    dists = np.linalg.norm(index.z - centroid, axis=1)
-    best = np.flatnonzero(dists == dists.min())
-    return int(index.ids[best[0]])   # ids sorted: first hit = smallest id
+    rows, _ = _nearest(index.z, index.z[members].mean(axis=0, keepdims=True))
+    return int(index.ids[rows[0]])
 
 
 def neighborhood(index: ConceptIndex, query_vec: np.ndarray, modality: str,
@@ -130,10 +155,7 @@ def neighborhood(index: ConceptIndex, query_vec: np.ndarray, modality: str,
     """Training samples strictly within `radius` of the query, same modality."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    dists = np.linalg.norm(index.spaces[modality] - query_vec, axis=1)
-    hit = np.flatnonzero(dists < radius)
-    order = hit[np.lexsort((index.ids[hit], dists[hit]))]
-    results = [(int(index.ids[i]), modality, float(dists[i])) for i in order]
+    results = _ranked(index, query_vec, [modality], radius, None)
     return Explanation("neighborhood", query_id, modality, results,
                        {"radius": radius})
 
@@ -153,16 +175,7 @@ def cross_modal_retrieve(index: ConceptIndex, query_vec: np.ndarray,
         target_modalities = [m for m in MODALITIES if m != source_modality]
     if source_modality in target_modalities:
         raise ValueError("target modalities must differ from the source")
-    pool = []
-    for mod in target_modalities:
-        dists = np.linalg.norm(index.spaces[mod] - query_vec, axis=1)
-        pool.extend((float(d), int(i), mod) for d, i in zip(dists, index.ids))
-    pool.sort(key=lambda t: (t[0], t[2], t[1]))
-    if radius is not None:
-        kept = [p for p in pool if p[0] < radius]
-    else:
-        kept = pool[:top_k]
-    results = [(i, mod, d) for d, i, mod in kept]
+    results = _ranked(index, query_vec, target_modalities, radius, top_k)
     params = {"radius": radius} if radius is not None else {"top_k": top_k}
     params["targets"] = list(target_modalities)
     return Explanation("cross_modal", query_id, source_modality, results, params)
@@ -175,22 +188,17 @@ def substitute_missing(model, index: ConceptIndex, query_vec: np.ndarray,
     query vector. Returns (substitute_vector, retrieved_id, distance)."""
     if present_modality == missing_modality:
         raise ValueError("present and missing modality must differ")
-    if len(index) == 0:
-        raise RuntimeError("empty index")
-    dists = np.linalg.norm(index.spaces[missing_modality] - query_vec, axis=1)
-    row = int(dists.argmin())        # ids sorted: ties resolve to smallest id
-    return index.spaces[missing_modality][row].copy(), int(index.ids[row]), float(dists[row])
+    stored = index.spaces[missing_modality]
+    rows, dists = _nearest(stored, np.atleast_2d(query_vec))
+    return stored[rows[0]].copy(), int(index.ids[rows[0]]), float(dists[0])
 
 
 def substitute_matrix(index: ConceptIndex, queries: np.ndarray,
                       missing_modality: str):
     """Vectorized substitution for a batch of present-modality vectors."""
-    if len(index) == 0:
-        raise RuntimeError("empty index")
     stored = index.spaces[missing_modality]
-    d2 = ((queries[:, None, :] - stored[None, :, :]) ** 2).sum(axis=2)
-    rows = d2.argmin(axis=1)
-    return stored[rows].copy(), index.ids[rows]
+    rows, _ = _nearest(stored, queries)
+    return stored[rows], index.ids[rows]
 
 
 # -- 2D projection export --------------------------------------------------------

@@ -276,6 +276,61 @@ def test_reproduce_parallel_workers_match_serial(tmp_path, capsys):
     assert a == b
 
 
+def _one_seed_reports(shared, capped_acc, floored_acc, relative_miss_graph):
+    """reproduce's by-kind reports for one seed: the concept baseline ties the
+    shared model, the four kinds capped at 0.80 share `capped_acc`, and
+    simple and relative share `floored_acc`."""
+    def report(acc, compl=None, miss=(None, None), retr=None):
+        return [{"accuracy": acc, "completeness": compl,
+                 "missing_modality": {"graph": miss[0], "tabular": miss[1]},
+                 "retrieval_label_match_mean": retr}]
+    acc, compl, miss_graph, miss_tab, retr = shared
+    both = report(acc, compl, (miss_graph, miss_tab), retr)
+    return {"shared": both, "concept": both,
+            **{kind: report(capped_acc)
+               for kind in ("mod_graph", "mod_tabular", "cbm_graph", "cbm_tabular")},
+            "simple": report(floored_acc),
+            "relative": report(floored_acc, miss=(relative_miss_graph, None))}
+
+
+_MEAN_LINES = ("shared mean acc", "shared mean compl", "shared mean miss_graph",
+               "shared mean miss_tab", "shared mean retr", "mod_graph mean acc",
+               "mod_tabular mean acc", "cbm_graph mean acc", "cbm_tabular mean acc",
+               "simple mean acc", "concept mean acc", "relative mean acc",
+               "relative mean miss_graph")
+_SEED_LINES = [("shared per-seed acc >= 0.95", True, "min 0.9700"),
+               ("shared compl beats concept in >=4/5 seeds", False, "0/1"),
+               ("shared beats concept on missing modality every seed", False, ""),
+               ("shared retrieval match beats concept every seed", False, "")]
+
+
+@pytest.mark.parametrize("relative_miss_graph", [0.65, 0.92])
+def test_reproduce_means_on_a_bound_pass(relative_miss_graph):
+    from conceptspace.cli import _acceptance_lines
+    by_kind = _one_seed_reports((0.97, 0.93, 0.95, 0.88, 0.90), 0.80, 0.97,
+                                relative_miss_graph)
+    details = ("0.9700", "0.9300", "0.9500", "0.8800", "0.9000", "0.8000",
+               "0.8000", "0.8000", "0.8000", "0.9700", "0.9700", "0.9700",
+               f"{relative_miss_graph:.4f}")
+    assert _acceptance_lines(by_kind) == [
+        *((name, True, detail) for name, detail in zip(_MEAN_LINES, details)),
+        *_SEED_LINES]
+
+
+@pytest.mark.parametrize("relative_miss_graph", [0.65, 0.92])
+def test_reproduce_means_one_ulp_outside_a_bound_fail(relative_miss_graph):
+    from conceptspace.cli import _acceptance_lines
+    below = lambda v: float(np.nextafter(v, 0.0))
+    above = lambda v: float(np.nextafter(v, 1.0))
+    outside = below if relative_miss_graph < 0.8 else above
+    by_kind = _one_seed_reports([below(v) for v in (0.97, 0.93, 0.95, 0.88, 0.90)],
+                                above(0.80), below(0.97), outside(relative_miss_graph))
+    lines = _acceptance_lines(by_kind)
+    assert [(name, ok) for name, ok, _ in lines[:len(_MEAN_LINES)]] == [
+        (name, False) for name in _MEAN_LINES]
+    assert lines[len(_MEAN_LINES):] == _SEED_LINES
+
+
 def test_usage_errors_exit_1():
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
@@ -355,6 +410,24 @@ def test_negative_seed_exits_3(tmp_path, capsys):
     assert main(["--seed", "-1", "--out", str(tmp_path / "d.json"), "generate"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seed" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fields", [
+    {"n_classes": 3},
+    {"n_classes": 1},
+    {"split_ratio": 0.999},
+    {"split_ratio": 0.005, "anchor_count": 1},
+], ids=["three classes", "one class", "no test sample", "one training sample"])
+def test_config_the_program_cannot_run_exits_3(workdir, tmp_path, fields, capsys):
+    # otherwise the config of the dataset it trains on
+    doc = {**json.loads(open(workdir["config"]).read()), **fields}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "--out", str(tmp_path / "run"), "train",
+                 "--dataset", workdir["dataset"], "--model", "shared"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config") and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_malformed_json_config_exits_2(tmp_path):

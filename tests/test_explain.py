@@ -291,6 +291,97 @@ def test_empty_index_rejected(trained):
                            "tabular", "graph")
 
 
+# -- exact ties ----------------------------------------------------------------------
+
+CENTER = np.array([0.5, 0.5])
+
+
+def tied_index():
+    """Hand-built index on dyadic coordinates, so distances tie exactly. From
+    CENTER, graph ids 2, 4, 7 and 15 lie at 0.25 and ids 9, 12 at 0.5;
+    tabular id 12 lies at 0, ids 4, 9, 15 at 0.25 and ids 2, 7 at 0.5."""
+    spaces = {
+        "graph": np.array([[0.25, 0.5], [0.75, 0.5], [0.5, 0.25], [0.5, 1.0],
+                           [0.0, 0.5], [0.5, 0.75]]),
+        "tabular": np.array([[0.5, 0.0], [0.5, 0.75], [1.0, 0.5], [0.25, 0.5],
+                             [0.5, 0.5], [0.75, 0.5]]),
+    }
+    z = np.concatenate([spaces["graph"], spaces["tabular"]], axis=1)
+    return ConceptIndex(np.array([2, 4, 7, 9, 12, 15]), spaces, z,
+                        (z >= 0.5).astype(np.uint8),
+                        {m: np.zeros(6, dtype=int) for m in MODALITIES},
+                        np.zeros(6, dtype=int))
+
+
+def scan_ranked(index, query, modalities, top_k):
+    """(id, modality, distance) by (distance, modality, id), cut at top_k."""
+    rows = sorted((d, m, i) for m in modalities
+                  for i, d in scan_neighborhood(index.spaces[m], index.ids, query, np.inf))
+    return [(i, m, d) for d, m, i in rows[:top_k]]
+
+
+def test_substitute_missing_tie_goes_to_smallest_id():
+    index = tied_index()
+    vec, retrieved, dist = substitute_missing(None, index, CENTER, "tabular", "graph")
+    assert (retrieved, dist) == scan_nearest(index.spaces["graph"], index.ids, CENTER)
+    assert (retrieved, dist) == (2, 0.25)
+    assert np.array_equal(vec, index.spaces["graph"][0])
+
+
+def test_substitute_matrix_ties_go_to_smallest_id():
+    index = tied_index()
+    # each of the first three queries ties two or four graph rows
+    queries = np.array([CENTER, [0.25, 0.25], [0.75, 0.25], [0.5, 0.75]])
+    subs, ids = substitute_matrix(index, queries, "graph")
+    want = [scan_nearest(index.spaces["graph"], index.ids, q)[0] for q in queries]
+    assert ids.tolist() == want == [2, 2, 4, 15]
+    assert np.array_equal(subs, index.spaces["graph"][[0, 0, 1, 5]])
+
+
+def test_prototype_tie_goes_to_smallest_id():
+    # ids 2 and 5 share code 1010 and sit 0.25 either side of their centroid
+    # (0.75, 0.25, 0.75, 0.25); id 1 (another code) is farther
+    z = np.array([[0.0, 0.0, 0.0, 0.0], [0.875, 0.375, 0.875, 0.375],
+                  [0.625, 0.125, 0.625, 0.125]])
+    spaces = {"graph": z[:, :2], "tabular": z[:, 2:]}
+    index = ConceptIndex(np.array([1, 2, 5]), spaces, z, (z >= 0.5).astype(np.uint8),
+                         {m: np.zeros(3) for m in MODALITIES}, np.zeros(3))
+    code = np.array([1, 0, 1, 0], dtype=np.uint8)
+    assert prototype(index, code) == scan_prototype(z, index.codes, index.ids, code) == 2
+
+
+@pytest.mark.parametrize("top_k", [1, 2, 3, 4, 5, 6])
+def test_cross_modal_top_k_cut_inside_a_tie(top_k):
+    index = tied_index()
+    expl = cross_modal_retrieve(index, CENTER, "tabular", top_k=top_k)
+    assert expl.results == scan_ranked(index, CENTER, ["graph"], top_k)
+
+
+def test_cross_modal_ties_across_targets_rank_by_modality_name():
+    index = tied_index()
+    # a source outside the index lets both modalities be targets; the 0.25
+    # tie spans both, and the cut at 6 falls inside it
+    expl = cross_modal_retrieve(index, CENTER, "text",
+                                target_modalities=["tabular", "graph"], top_k=6)
+    assert expl.results == scan_ranked(index, CENTER, MODALITIES, 6) == [
+        (12, "tabular", 0.0), (2, "graph", 0.25), (4, "graph", 0.25),
+        (7, "graph", 0.25), (15, "graph", 0.25), (4, "tabular", 0.25)]
+
+
+@pytest.mark.parametrize("radius, n_tabular", [(0.0, 0), (0.25, 1), (0.5, 4)])
+def test_radius_equal_to_a_stored_distance_is_excluded(radius, n_tabular):
+    index = tied_index()
+    assert len(neighborhood(index, CENTER, "tabular", radius).results) == n_tabular
+    for mod in MODALITIES:
+        want = scan_neighborhood(index.spaces[mod], index.ids, CENTER, radius)
+        assert all(d < radius for _, d in want)
+        got = neighborhood(index, CENTER, mod, radius).results
+        assert [(i, d) for i, _, d in got] == want
+    cross = cross_modal_retrieve(index, CENTER, "tabular", radius=radius).results
+    assert [(i, d) for i, _, d in cross] == scan_neighborhood(
+        index.spaces["graph"], index.ids, CENTER, radius)
+
+
 # -- explanation records --------------------------------------------------------------
 
 def test_explanation_validation():

@@ -11,8 +11,12 @@ eval report.
 One more line covers the read path of the trained checkpoint the benchmark
 ships, bench/fixture/shared_seed0.ckpt, over the dataset regenerated from its
 config: the sha256 of the raw bytes of its build_index spaces, of its eval
-report JSON, and of encode_samples over its test split. The fixture is only
-read.
+report JSON, and of encode_samples over its test split. A last line covers
+the explanation queries over the same index: the sha256 of the JSON of every
+result of a fixed query set. Each test sample, encoded in each modality, asks
+for its neighborhood at radius 0.3, its cross-modal top 5, its cross-modal
+neighbors within 0.4 and its substitute in the other modality; then every
+code the index holds asks for its prototype. The fixture is only read.
 
 Run from the root of a checkout; it imports the `src/` next to it, so the
 same script fingerprints any two commits:
@@ -29,6 +33,8 @@ import sys
 import tempfile
 from dataclasses import replace
 
+import numpy as np
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
@@ -37,7 +43,14 @@ from conceptspace.cli import _generate, _train_one
 from conceptspace.config import MODALITIES, ExperimentConfig, TrainPlan
 from conceptspace.data import split
 from conceptspace.evaluation import evaluate_model
-from conceptspace.explain import build_index, encode_samples
+from conceptspace.explain import (
+    build_index,
+    cross_modal_retrieve,
+    encode_samples,
+    neighborhood,
+    prototype,
+    substitute_missing,
+)
 from conceptspace.model import load_model, save_model
 from conceptspace.training import save_history
 
@@ -76,15 +89,29 @@ def _spaces_sha256(spaces: dict) -> str:
     return digest.hexdigest()
 
 
-def fingerprint_read_path(path: str) -> tuple[str, str, str]:
-    model = load_model(path)
-    cfg = model.config
-    ds = split(_generate(cfg), cfg.split_ratio, cfg.seed)
-    index = build_index(model, ds.train)
-    report = evaluate_model(model, index, ds, cfg.hash()).to_dict()
-    report_json = json.dumps(report, sort_keys=True, indent=2).encode()
-    return (_spaces_sha256(index.spaces), hashlib.sha256(report_json).hexdigest(),
+def _json_sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, indent=2).encode()).hexdigest()
+
+
+def fingerprint_read_path(model, ds, index) -> tuple[str, str, str]:
+    report = evaluate_model(model, index, ds, model.config.hash()).to_dict()
+    return (_spaces_sha256(index.spaces), _json_sha256(report),
             _spaces_sha256(encode_samples(model, ds.test)))
+
+
+def fingerprint_queries(model, ds, index) -> str:
+    vecs = encode_samples(model, ds.test)
+    results = []
+    for k in range(len(ds.test)):
+        for mod, other in (MODALITIES, MODALITIES[::-1]):
+            query = vecs[mod][k]
+            vec, sample_id, dist = substitute_missing(model, index, query, mod, other)
+            results += [neighborhood(index, query, mod, 0.3).to_dict(),
+                        cross_modal_retrieve(index, query, mod, top_k=5).to_dict(),
+                        cross_modal_retrieve(index, query, mod, radius=0.4).to_dict(),
+                        [vec.tolist(), sample_id, dist]]
+    results += [prototype(index, code) for code in np.unique(index.codes, axis=0)]
+    return _json_sha256(results)
 
 
 def main() -> int:
@@ -92,7 +119,11 @@ def main() -> int:
         for kind, regime in JOBS:
             hashes = fingerprint(kind, regime, out_dir)
             print(f"{kind}/{regime}", *hashes)
-    print("read_path/shared_seed0", *fingerprint_read_path(FIXTURE))
+    model = load_model(FIXTURE)
+    ds = split(_generate(model.config), model.config.split_ratio, model.config.seed)
+    index = build_index(model, ds.train)
+    print("read_path/shared_seed0", *fingerprint_read_path(model, ds, index))
+    print("queries/shared_seed0", fingerprint_queries(model, ds, index))
     return 0
 
 
