@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from math import inf
 import numpy as np
 
 from .baselines import BASELINE_KINDS, build_baseline, train_baseline
-from .config import MODALITIES, ExperimentConfig, load_config
+from .config import MODALITIES, ExperimentConfig, load_config, other_modality
 from .data import generate_xor_and_xor, load_dataset, save_dataset, split
 from .errors import (
     CheckpointMismatchError,
@@ -29,6 +30,7 @@ from .errors import (
 )
 from .evaluation import METRICS, append_ledger, evaluate_model
 from .explain import (
+    Explanation,
     build_index,
     cross_modal_retrieve,
     encode_samples,
@@ -111,19 +113,23 @@ def _train_one(cfg: ExperimentConfig, samples, kind: str):
     return model, ds, history
 
 
+def _matching_dataset(path: str, cfg: ExperimentConfig, error):
+    """The dataset's samples; raises `error` unless it is the one `cfg` describes."""
+    samples, header = load_dataset(path)
+    fp = cfg.dataset_fingerprint()
+    got = {k: header[k] for k in fp}
+    if got != fp:
+        raise error(f"dataset is {got}, but the config describes {fp}")
+    return samples
+
+
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     if args.regime:
         cfg = cfg.with_overrides(plan=replace(cfg.plan, regime=args.regime))
     if args.local_supervision:
         cfg = cfg.with_overrides(use_local_supervision=True)
-    samples, header = load_dataset(args.dataset)
-    fp = cfg.dataset_fingerprint()
-    got = {k: header[k] for k in fp}
-    if got != fp:
-        raise ConfigurationError(
-            f"dataset header {got} does not match config {fp}; regenerate or "
-            "adjust --seed/--config")
+    samples = _matching_dataset(args.dataset, cfg, ConfigurationError)
     model, _, history = _train_one(cfg, samples, args.model)
     out_dir = args.out or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -136,20 +142,19 @@ def cmd_train(args) -> int:
 
 def _load_pair(ckpt_path: str, dataset_path: str):
     model = load_model(ckpt_path)
-    samples, header = load_dataset(dataset_path)
-    fp = model.config.dataset_fingerprint()
-    got = {k: header[k] for k in fp}
-    if got != fp:
-        raise CheckpointMismatchError(
-            f"checkpoint was trained on {fp} but dataset is {got}")
-    ds = split(samples, model.config.split_ratio, model.config.seed)
-    return model, ds
+    samples = _matching_dataset(dataset_path, model.config, CheckpointMismatchError)
+    return model, split(samples, model.config.split_ratio, model.config.seed)
+
+
+def _evaluate(model, ds, config_hash: str, metrics=METRICS):
+    """Index the training split if the model has a space to index, then evaluate."""
+    index = build_index(model, ds.train) if hasattr(model, "index_spaces") else None
+    return evaluate_model(model, index, ds, config_hash, metrics)
 
 
 def cmd_eval(args) -> int:
     model, ds = _load_pair(args.checkpoint, args.dataset)
-    index = build_index(model, ds.train) if hasattr(model, "index_spaces") else None
-    report = evaluate_model(model, index, ds, model.config.hash(), args.metrics)
+    report = _evaluate(model, ds, model.config.hash(), args.metrics)
     out_dir = args.out or model.config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     stem = f"{model.kind}_seed{model.config.seed}"
@@ -162,14 +167,16 @@ def cmd_eval(args) -> int:
 
 
 def _find_sample(samples, sample_id: int):
-    for s in samples:
-        if s.id == sample_id:
-            return s
-    raise ConfigurationError(f"sample id {sample_id} not in dataset")
+    try:
+        return {s.id: s for s in samples}[sample_id]
+    except KeyError:
+        raise ConfigurationError(f"sample id {sample_id} not in dataset") from None
 
 
 def cmd_explain(args) -> int:
     model, ds = _load_pair(args.checkpoint, args.dataset)
+    if not hasattr(model, "index_spaces"):
+        raise ConfigurationError(f"a {model.kind} model has no concept space to explain")
     index = build_index(model, ds.train)
     out_dir = args.out or model.config.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -194,8 +201,7 @@ def cmd_explain(args) -> int:
         print(f"prototype of {args.code}: sample {sample_id}")
         return 0
 
-    all_samples = list(ds.train) + list(ds.test)
-    query = _find_sample(all_samples, args.sample_id)
+    query = _find_sample((*ds.train, *ds.test), args.sample_id)
     vecs = encode_samples(model, [query])
     modality = args.modality
 
@@ -207,10 +213,9 @@ def cmd_explain(args) -> int:
         expl = cross_modal_retrieve(index, vecs[modality][0], modality,
                                     query_id=query.id, **kw)
     elif sub == "substitute":
-        missing = [m for m in MODALITIES if m != modality][0]
+        missing = other_modality(modality)
         _, retrieved, dist = substitute_missing(model, index, vecs[modality][0],
                                                 modality, missing)
-        from .explain import Explanation
         expl = Explanation("substitution", query.id, modality,
                            [(retrieved, missing, dist)],
                            {"present": modality, "missing": missing})
@@ -227,11 +232,8 @@ def cmd_explain(args) -> int:
 
 def _reproduce_job(cfg_dict: dict, kind: str, seed: int) -> dict:
     cfg = ExperimentConfig.from_dict(cfg_dict).with_overrides(seed=seed)
-    samples = _generate(cfg)
-    model, ds, history = _train_one(cfg, samples, kind)
-    index = build_index(model, ds.train) if hasattr(model, "index_spaces") else None
-    report = evaluate_model(model, index, ds, cfg.hash())
-    return report.to_dict()
+    model, ds, _ = _train_one(cfg, _generate(cfg), kind)
+    return _evaluate(model, ds, cfg.hash()).to_dict()
 
 
 def _mean_stderr(values) -> tuple[float, float]:
@@ -273,16 +275,10 @@ def cmd_reproduce(args) -> int:
     out_dir = args.out or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     jobs = [(kind, seed) for kind in MODEL_KINDS for seed in seeds]
-    results = {}
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = {pool.submit(_reproduce_job, cfg.to_dict(), kind, seed): (kind, seed)
-                       for kind, seed in jobs}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-    else:
-        for kind, seed in jobs:
-            results[(kind, seed)] = _reproduce_job(cfg.to_dict(), kind, seed)
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=args.workers)
+          if args.workers > 1 else contextlib.nullcontext()) as pool:
+        results = dict(zip(jobs, (pool.map if pool else map)(
+            _reproduce_job, [cfg.to_dict()] * len(jobs), *zip(*jobs))))
 
     by_kind = {kind: [results[(kind, seed)] for seed in seeds]
                for kind in MODEL_KINDS}
@@ -385,6 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exception type, exit code) of each documented failure, matched in order
+_EXIT_CODES = ((NoSuchConceptError, 5), (CheckpointMismatchError, 4), (ConfigurationError, 3),
+               (OSError, 2), (UnicodeDecodeError, 2), (json.JSONDecodeError, 2),
+               (DatasetError, 2))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -406,18 +408,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except NoSuchConceptError as exc:
+    except tuple(t for t, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except CheckpointMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, DatasetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for t, code in _EXIT_CODES if isinstance(exc, t))
 
 
 def entry() -> None:

@@ -22,6 +22,13 @@ BIJECTIONS = ("default", "swapped")
 MODALITIES = ("graph", "tabular")
 
 
+def other_modality(modality: str) -> str:
+    others = [m for m in MODALITIES if m != modality]
+    if len(others) != 1:
+        raise ValueError(f"unknown modality {modality!r}")
+    return others[0]
+
+
 @dataclass
 class LossConfig:
     """Objective weights: task term + distance regularizer + optional local terms."""

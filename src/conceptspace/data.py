@@ -54,24 +54,28 @@ _BIJECTIONS = {
 }
 
 
-def family_to_bits(family: GraphFamily, bijection: str = "default") -> tuple[int, int]:
-    """Map a graph family to its 2-bit code under the chosen bijection."""
+_FAMILY_OF = {name: {bits: family for family, bits in table.items()}
+              for name, table in _BIJECTIONS.items()}
+
+
+def _table(tables: dict, bijection: str) -> dict:
     try:
-        table = _BIJECTIONS[bijection]
+        return tables[bijection]
     except KeyError:
         raise ValueError(f"unknown bijection {bijection!r}") from None
-    return table[family]
+
+
+def family_to_bits(family: GraphFamily, bijection: str = "default") -> tuple[int, int]:
+    """Map a graph family to its 2-bit code under the chosen bijection."""
+    return _table(_BIJECTIONS, bijection)[family]
 
 
 def bits_to_family(code: tuple[int, int], bijection: str = "default") -> GraphFamily:
     """Inverse of family_to_bits (the mapping is a bijection)."""
-    table = _BIJECTIONS.get(bijection)
-    if table is None:
-        raise ValueError(f"unknown bijection {bijection!r}")
-    for family, bits in table.items():
-        if bits == tuple(code):
-            return family
-    raise ValueError(f"code {code!r} is not a 2-bit pair")
+    family = _table(_FAMILY_OF, bijection).get(tuple(code))
+    if family is None:
+        raise ValueError(f"code {code!r} is not a 2-bit pair")
+    return family
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,14 @@ class PairedSample:
     global_label: int
 
 
+def _paired(sample_id: int, tab: TabularSample, graph: GraphSample) -> PairedSample:
+    """A sample with its labels: each modality's XOR, and their AND."""
+    code = family_to_bits(graph.family)    # either bijection gives the same XOR
+    local_graph = code[0] ^ code[1]
+    return PairedSample(sample_id, tab, graph, tab.local_label, local_graph,
+                        tab.local_label & local_graph)
+
+
 @dataclass(frozen=True)
 class DatasetSplit:
     train: tuple[PairedSample, ...]
@@ -127,10 +139,7 @@ class DatasetSplit:
 
 def _cycle_edges(nodes) -> list[tuple[int, int]]:
     ordered = list(nodes)
-    out = []
-    for a, b in zip(ordered, ordered[1:] + ordered[:1]):
-        out.append((min(a, b), max(a, b)))
-    return out
+    return [(min(a, b), max(a, b)) for a, b in zip(ordered, ordered[1:] + ordered[:1])]
 
 
 def _family_edges(family: GraphFamily) -> list[tuple[int, int]]:
@@ -186,11 +195,15 @@ def betweenness(node_count: int, edges) -> np.ndarray:
 
 def generate_xor_and_xor(n_samples: int, seed: int, random_edge_max: int = 2,
                          bijection: str = "default") -> list[PairedSample]:
-    """Draw paired samples: uniform bits, uniform family, 0..max extra edges."""
+    """Draw paired samples: uniform bits, uniform family, 0..max extra edges.
+
+    `bijection` must name a bijection but never changes a sample: both keep
+    each family's XOR, so the labels are the same under either."""
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     if random_edge_max < 0:
         raise ValueError("random_edge_max must be nonnegative")
+    _table(_BIJECTIONS, bijection)     # rejects an unknown bijection
     rng = substream(seed, "data")
     samples = []
     for sid in range(n_samples):
@@ -206,16 +219,8 @@ def generate_xor_and_xor(n_samples: int, seed: int, random_edge_max: int = 2,
             edges.add(free[rng.integers(0, len(free))])
         edge_tuple = tuple(sorted(edges))
         feats = betweenness(NODE_COUNT, edge_tuple)
-        tab = TabularSample(bits)
         graph = GraphSample(NODE_COUNT, edge_tuple, tuple(float(f) for f in feats), family)
-        code = family_to_bits(family, bijection)
-        local_graph = code[0] ^ code[1]
-        samples.append(PairedSample(
-            id=sid, tabular=tab, graph=graph,
-            local_label_tab=tab.local_label,
-            local_label_graph=local_graph,
-            global_label=tab.local_label & local_graph,
-        ))
+        samples.append(_paired(sid, TabularSample(bits), graph))
     return samples
 
 
@@ -335,10 +340,15 @@ def as_arrays(samples, bijection: str = "default", with_aux: bool = True) -> dic
     return arr
 
 
+def one_hot(labels: np.ndarray) -> np.ndarray:
+    """(n, 2) float targets of binary labels."""
+    onehot = np.zeros((len(labels), 2))
+    onehot[np.arange(len(labels)), labels] = 1.0
+    return onehot
+
+
 def _batch_from_arrays(arr: dict, idx: np.ndarray) -> Batch:
     y = arr["y"][idx]
-    onehot = np.zeros((len(idx), 2))
-    onehot[np.arange(len(idx)), y] = 1.0
     aux = {}
     if "aux_tab_x" in arr:
         aux = {
@@ -352,7 +362,7 @@ def _batch_from_arrays(arr: dict, idx: np.ndarray) -> Batch:
         graph_adj=arr["graph_adj"][idx],
         tab_x=arr["tab_x"][idx],
         y=y,
-        y_onehot=onehot,
+        y_onehot=one_hot(y),
         local={"graph": arr["local_graph"][idx], "tabular": arr["local_tab"][idx]},
         **aux,
     )
@@ -451,7 +461,7 @@ _RECORD_FIELDS = ("id", "bits", "family", "edges", "features", "local_tab",
                   "local_graph", "global")
 
 
-def _sample_from_record(rec: dict, bijection: str) -> PairedSample:
+def _sample_from_record(rec: dict) -> PairedSample:
     missing = [k for k in _RECORD_FIELDS if k not in rec]
     if missing:
         raise ValueError(f"lacks {', '.join(missing)}")
@@ -465,18 +475,13 @@ def _sample_from_record(rec: dict, bijection: str) -> PairedSample:
         node_features=tuple(rec["features"]),
         family=GraphFamily(rec["family"]),
     )
-    tab = TabularSample(tuple(rec["bits"]))
-    code = family_to_bits(graph.family, bijection)
-    local_graph = code[0] ^ code[1]
-    labels = {"local_tab": tab.local_label, "local_graph": local_graph,
-              "global": tab.local_label & local_graph}
-    for key, want in labels.items():
+    sample = _paired(rec["id"], TabularSample(tuple(rec["bits"])), graph)
+    for key, want in (("local_tab", sample.local_label_tab),
+                      ("local_graph", sample.local_label_graph),
+                      ("global", sample.global_label)):
         if rec[key] != want:
             raise ValueError(f"{key} is {rec[key]!r}, its bits and family give {want}")
-    return PairedSample(id=rec["id"], tabular=tab, graph=graph,
-                        local_label_tab=rec["local_tab"],
-                        local_label_graph=rec["local_graph"],
-                        global_label=rec["global"])
+    return sample
 
 
 def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
@@ -505,7 +510,7 @@ def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
     samples, seen = [], set()
     for pos, rec in enumerate(records):
         try:
-            sample = _sample_from_record(rec, doc["bijection"])
+            sample = _sample_from_record(rec)
         except (TypeError, ValueError) as exc:
             raise DatasetError(f"dataset record {pos}: {exc}") from None
         if sample.id in seen:

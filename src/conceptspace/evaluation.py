@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MODALITIES
+from .config import MODALITIES, other_modality
 from .data import as_arrays, translation_batch, whole_batch
-from .explain import ConceptIndex, _nearest, substitute_matrix
+from .explain import ConceptIndex, _nearest, concept_codes, substitute_matrix
 from .tree import BinaryCodeTree
 
 
@@ -92,16 +92,12 @@ def completeness(index: ConceptIndex, test_codes: np.ndarray,
         raise ValueError("completeness needs a concept-based index")
     tree = BinaryCodeTree().fit(index.codes, index.global_labels)
     score = float((tree.predict(test_codes) == test_labels).mean())
-    uniq, inverse = np.unique(index.codes, axis=0, return_inverse=True)
-    clusters = []
-    for ci in range(len(uniq)):
-        members = index.global_labels[inverse == ci]
-        values, counts = np.unique(members, return_counts=True)
-        clusters.append({
-            "code": "".join(str(int(b)) for b in uniq[ci]),
-            "size": int(len(members)),
-            "majority_label": int(values[counts == counts.max()].min()),
-        })
+    uniq, cluster = np.unique(index.codes, axis=0, return_inverse=True)
+    counts = np.zeros((len(uniq), index.global_labels.max() + 1), dtype=np.int64)
+    np.add.at(counts, (cluster.ravel(), index.global_labels), 1)
+    clusters = [{"code": "".join(map(str, code)), "size": int(n.sum()),
+                 "majority_label": int(n.argmax())}       # ties go to label 0
+                for code, n in zip(uniq.tolist(), counts)]
     return CompletenessReport(score=score, n_clusters=len(uniq),
                               depth=tree.depth, clusters=clusters)
 
@@ -109,15 +105,7 @@ def completeness(index: ConceptIndex, test_codes: np.ndarray,
 def model_codes(model, samples) -> tuple[np.ndarray, np.ndarray]:
     """Binarized concatenated representations plus global labels."""
     enc = _encoded(model, samples)
-    z = np.concatenate([enc.spaces[m] for m in MODALITIES], axis=1)
-    return (z >= 0.5).astype(np.uint8), enc.batch.y
-
-
-def _other_modality(modality: str) -> str:
-    others = [m for m in MODALITIES if m != modality]
-    if len(others) != 1:
-        raise ValueError(f"unknown modality {modality!r}")
-    return others[0]
+    return concept_codes(enc.spaces), enc.batch.y
 
 
 def missing_modality_eval(model, index: ConceptIndex, samples,
@@ -129,7 +117,7 @@ def missing_modality_eval(model, index: ConceptIndex, samples,
     training vector from the missing modality's space stands in for it; the
     present modality keeps its own rendering.
     """
-    present = _other_modality(missing_modality)
+    present = other_modality(missing_modality)
     enc = _encoded(model, samples, with_aux=True)
     queries = enc.aux_spaces[present]   # the missing content, seen by the present encoder
     substituted, _ = substitute_matrix(index, queries, missing_modality)
@@ -254,7 +242,7 @@ def evaluate_model(model, index: ConceptIndex | None, split, config_hash: str,
             report.missing[mod] = missing_modality_eval(model, index, test, mod)
     if "retrieval" in metrics and indexable:
         for source in MODALITIES:
-            target = _other_modality(source)
+            target = other_modality(source)
             report.retrieval[f"{source}->{target}"] = retrieval_label_match(
                 model, index, test, (source, target))
     report.validate()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MODALITIES
+from .config import MODALITIES, other_modality
 from .data import _eval_batch
 from .errors import NoSuchConceptError
 
@@ -46,6 +46,11 @@ class ConceptIndex:
         return pos
 
 
+def concept_codes(spaces: dict) -> np.ndarray:
+    """Binarized codes: the spaces side by side in MODALITIES order, cut at >= 0.5."""
+    return (np.concatenate([spaces[m] for m in MODALITIES], axis=1) >= 0.5).astype(np.uint8)
+
+
 def build_index(model, samples) -> ConceptIndex:
     """Materialize representations of the training set under a frozen model."""
     if not getattr(model, "trained", False):
@@ -57,7 +62,7 @@ def build_index(model, samples) -> ConceptIndex:
     z = codes = None
     if getattr(model, "concept_based", False):
         z = np.concatenate([spaces[m] for m in MODALITIES], axis=1)
-        codes = (z >= 0.5).astype(np.uint8)
+        codes = concept_codes(spaces)
     return ConceptIndex(
         ids=np.array([s.id for s in ordered]),
         spaces=spaces,
@@ -172,7 +177,7 @@ def cross_modal_retrieve(index: ConceptIndex, query_vec: np.ndarray,
     if (radius is None) == (top_k is None):
         raise ValueError("pass exactly one of radius or top_k")
     if target_modalities is None:
-        target_modalities = [m for m in MODALITIES if m != source_modality]
+        target_modalities = [other_modality(source_modality)]
     if source_modality in target_modalities:
         raise ValueError("target modalities must differ from the source")
     results = _ranked(index, query_vec, target_modalities, radius, top_k)
@@ -210,19 +215,12 @@ def pca_projection(index: ConceptIndex) -> list:
     centered = x - x.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     comps = vt[:2]
-    for i in range(2):               # deterministic sign: dominant loading positive
-        j = np.abs(comps[i]).argmax()
-        if comps[i, j] < 0:
-            comps[i] = -comps[i]
-    scores = centered @ comps.T
-    rows = []
-    n = len(index)
-    for k, mod in enumerate(MODALITIES):
-        for r in range(n):
-            rows.append((int(index.ids[r]), mod,
-                         float(scores[k * n + r, 0]), float(scores[k * n + r, 1]),
-                         int(index.global_labels[r])))
-    return rows
+    dominant = comps[np.arange(len(comps)), np.abs(comps).argmax(axis=1)]
+    comps = comps * np.where(dominant < 0, -1.0, 1.0)[:, None]   # dominant loading positive
+    keys = [(i, mod, label) for mod in MODALITIES
+            for i, label in zip(index.ids.tolist(), index.global_labels.tolist())]
+    return [(i, mod, pc1, pc2, label)
+            for (i, mod, label), (pc1, pc2) in zip(keys, (centered @ comps.T).tolist())]
 
 
 def save_pca_csv(index: ConceptIndex, path: str) -> None:

@@ -151,9 +151,8 @@ class SharedStage(Module):
                      rng, f"proj.{mod}")
             for mod in MODALITIES
         }
-        self.rescale = BatchRescale(cfg.shared_width, "shared_rescale",
-                                    cfg.rescale_momentum, cfg.rescale_eps)
-        self.sig = Sigmoid()
+        self.concepts = ConceptStage(cfg.shared_width, "shared_rescale",
+                                     cfg.rescale_momentum, cfg.rescale_eps)
         self.rows = 0            # row count of the last forward, per modality
 
     def forward(self, local_c: dict, mode: str) -> dict:
@@ -162,7 +161,7 @@ class SharedStage(Module):
             raise ValueError("modalities must contribute equal batch lengths")
         stacked = np.concatenate([self.projectors[m].forward(local_c[m])
                                   for m in MODALITIES], axis=0)
-        out = self.sig.forward(self.rescale.forward(stacked, mode))
+        out = self.concepts.forward(stacked, mode)
         b = sizes[0]
         self.rows = b
         return {m: out[i * b:(i + 1) * b] for i, m in enumerate(MODALITIES)}
@@ -170,7 +169,7 @@ class SharedStage(Module):
     def backward(self, g_shared: dict) -> dict:
         b = g_shared[MODALITIES[0]].shape[0]
         g = np.concatenate([g_shared[m] for m in MODALITIES], axis=0)
-        g = self.rescale.backward(self.sig.backward(g))
+        g = self.concepts.backward(g)
         return {m: self.projectors[m].backward(g[i * b:(i + 1) * b])
                 for i, m in enumerate(MODALITIES)}
 

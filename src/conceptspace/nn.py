@@ -129,15 +129,6 @@ class GraphConv(Module):
         return self._adj @ (g @ self.W.T)
 
 
-class ReLU:
-    def forward(self, x):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
-
-    def backward(self, g):
-        return np.where(self._mask, g, 0.0)
-
-
 class LeakyReLU:
     def __init__(self, slope: float = 0.01):
         self.slope = slope
@@ -148,6 +139,11 @@ class LeakyReLU:
 
     def backward(self, g):
         return np.where(self._mask, g, self.slope * g)
+
+
+def ReLU() -> LeakyReLU:
+    """The plain rectifier: a LeakyReLU of slope 0."""
+    return LeakyReLU(0.0)
 
 
 class Sigmoid:

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MODALITIES, ExperimentConfig, LossConfig
-from .data import Batch, DatasetSplit, _eval_batch, as_arrays, batches
+from .data import Batch, DatasetSplit, _eval_batch, as_arrays, batches, one_hot
 from .errors import ConfigurationError
+from .explain import concept_codes
 from .model import ConcatHeadModel, ForwardResult, SharedConceptModel, _model_blocks
 from .nn import Adam, MLP, sigmoid
 from .rng import substream
@@ -42,8 +43,7 @@ MODALITY_PAIRS = tuple(
 
 def task_loss(logits: np.ndarray, targets: np.ndarray) -> float:
     """Mean binary cross-entropy from logits (fused sigmoid, stable form)."""
-    loss, _ = _bce_with_logits(logits, targets)
-    return loss
+    return _bce_with_logits(logits, targets)[0]
 
 
 def _bce_with_logits(logits: np.ndarray, targets: np.ndarray):
@@ -59,8 +59,7 @@ def semantic_regularizer(shared: dict, pairs=MODALITY_PAIRS,
                          sample_idx: np.ndarray | None = None) -> float:
     b = shared[MODALITIES[0]].shape[0]
     idx = np.arange(b) if sample_idx is None else np.asarray(sample_idx)
-    value, _ = _distance_with_grads(shared, pairs, idx, idx)
-    return value
+    return _distance_with_grads(shared, pairs, idx, idx)[0]
 
 
 def _distance_with_grads(shared: dict, pairs, rows_a: np.ndarray, rows_b: np.ndarray):
@@ -118,12 +117,6 @@ def total_loss(result, batch: Batch, loss_cfg: LossConfig,
     return breakdown
 
 
-def _one_hot(labels: np.ndarray) -> np.ndarray:
-    onehot = np.zeros((len(labels), 2))
-    onehot[np.arange(len(labels)), labels] = 1.0
-    return onehot
-
-
 def _total_loss_with_grads(result, batch: Batch, loss_cfg: LossConfig,
                            sample_idx: np.ndarray | None):
     task, d_logits = _bce_with_logits(result.logits, batch.y_onehot)
@@ -156,7 +149,7 @@ def _total_loss_with_grads(result, batch: Batch, loss_cfg: LossConfig,
             if beta <= 0:
                 continue
             value, grad = _bce_with_logits(result.local_logits[mod],
-                                           _one_hot(batch.local[mod]))
+                                           one_hot(batch.local[mod]))
             local[mod] = value
             d_local[mod] = beta * grad
     total = task + loss_cfg.lam * reg + sum(betas[m] * v for m, v in local.items())
@@ -186,17 +179,16 @@ def _code_purity_probe(samples, n_classes: int, batch_size: int):
         first_bits.setdefault(s.tabular.bits, i)
     rows = sorted({*first_graph.values(), *first_bits.values()})
     at = {i: k for k, i in enumerate(rows)}
-    graph_row = [at[first_graph[key]] for key in graph_key]
-    bits_row = [at[first_bits[s.tabular.bits]] for s in samples]
+    row_of = {"graph": [at[first_graph[key]] for key in graph_key],
+              "tabular": [at[first_bits[s.tabular.bits]] for s in samples]}
     probe = [samples[i] for i in rows]
     probe_batches = batches(probe, batch_size, arrays=as_arrays(probe, with_aux=False))
     labels = np.array([s.global_label for s in samples])
 
     def purity(model) -> float:
         spaces = [model.index_spaces(batch) for batch in probe_batches]
-        graph = np.concatenate([sp["graph"] for sp in spaces])[graph_row]
-        bits = np.concatenate([sp["tabular"] for sp in spaces])[bits_row]
-        codes = np.packbits(np.concatenate([graph, bits], axis=1) >= 0.5, axis=1)
+        own = {m: np.concatenate([sp[m] for sp in spaces])[idx] for m, idx in row_of.items()}
+        codes = np.packbits(concept_codes(own), axis=1)
         # one opaque value per row: np.unique then groups equal codes in 1-D
         _, cluster = np.unique(codes.view(f"V{codes.shape[1]}").ravel(),
                                return_inverse=True)
@@ -398,7 +390,7 @@ def _fit_task(run: _Run, net, params: dict, target: str, epochs: int,
 
     def step(batch):
         logits = net.forward(batch, "train", run.gumbel_rng)
-        value, d_logits = _bce_with_logits(logits, _one_hot(labels(batch)))
+        value, d_logits = _bce_with_logits(logits, one_hot(labels(batch)))
         net.backward(d_logits)
         return {column: value}
 

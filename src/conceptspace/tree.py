@@ -23,8 +23,6 @@ class _Node:
 
 
 def _gini(y: np.ndarray) -> float:
-    if len(y) == 0:
-        return 0.0
     _, counts = np.unique(y, return_counts=True)
     p = counts / len(y)
     return 1.0 - float((p * p).sum())

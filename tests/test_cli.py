@@ -197,6 +197,43 @@ def test_explain_prototype_absent_code_exits_5(workdir, tmp_path, capsys):
     assert code in capsys.readouterr().err
 
 
+def test_explain_prototype_of_a_held_code(workdir, tmp_path, capsys):
+    from conceptspace.explain import build_index, prototype
+    from conceptspace.model import load_model
+    from conceptspace.data import split as sp
+
+    model = load_model(workdir["ckpt"])
+    samples, _ = load_dataset(workdir["dataset"])
+    index = build_index(model, sp(samples, model.config.split_ratio,
+                                  model.config.seed).train)
+    held = index.codes[len(index) // 2]
+    code = "".join(str(b) for b in held.tolist())
+    assert main(["--out", str(tmp_path), "explain", "prototype",
+                 "--checkpoint", workdir["ckpt"], "--dataset", workdir["dataset"],
+                 "--code", code]) == 0
+    doc = json.loads((tmp_path / f"prototype_{code}.json").read_text())
+    assert doc == {"kind": "prototype", "code": code,
+                   "sample_id": prototype(index, held)}
+
+
+@pytest.mark.parametrize("query", [
+    ["embedding"],
+    ["crossmodal", "--sample-id", "3", "--modality", "tabular"],
+])
+def test_explain_model_without_concept_space_exits_3(workdir, tmp_path, query, capsys):
+    run = tmp_path / "run"
+    assert main(["--config", workdir["config"], "--out", str(run), "train",
+                 "--dataset", workdir["dataset"], "--model", "simple"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "explained"
+    assert main(["--out", str(out), "explain", *query,
+                 "--checkpoint", str(run / "simple_seed0.ckpt"),
+                 "--dataset", workdir["dataset"]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "simple" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_explain_crossmodal_top5(workdir, tmp_path):
     assert main(["--out", str(tmp_path), "explain", "crossmodal",
                  "--checkpoint", workdir["ckpt"], "--dataset", workdir["dataset"],
@@ -390,20 +427,40 @@ def test_prototype_code_of_wrong_width_exits_5(workdir, tmp_path, capsys):
     assert "16" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit", [
-    lambda d: d.update(n_samples=-5),
-    lambda d: d["plan"].update(regime="backwards"),
-    lambda d: d.update(colour="red"),
-    lambda d: d.update(plan=[1, 2]),
-], ids=["invalid value", "invalid plan value", "unknown field", "plan not an object"])
-def test_invalid_config_file_exits_3(tmp_path, edit, capsys):
-    doc = ExperimentConfig(n_samples=40).to_dict()
+@pytest.mark.parametrize("edit, named", [
+    (lambda d: d.update(n_samples=-5), "n_samples"),
+    (lambda d: d["plan"].update(regime="backwards"), "regime"),
+    (lambda d: d.update(colour="red"), "colour"),
+    (lambda d: d.update(plan=[1, 2]), "TrainPlan"),
+    (lambda d: d["loss"].update(lam=-0.1), "lam"),
+    (lambda d: d["loss"].update(betas=[0.0, -1.0]), "betas"),
+    (lambda d: d["loss"].update(sample_fraction=0.0), "sample_fraction"),
+    (lambda d: d["loss"].update(distance_filter="negative"), "distance_filter"),
+    (lambda d: d["plan"].update(phase2_epochs=0), "epoch"),
+    (lambda d: d["plan"].update(learning_rate=0.0), "learning_rate"),
+    (lambda d: d["plan"].update(batch_size=1), "batch_size"),
+    (lambda d: d.update(split_ratio=1.0), "split_ratio"),
+    (lambda d: d.update(random_edge_max=-1), "random_edge_max"),
+    (lambda d: d.update(bijection="mirrored"), "bijection"),
+    (lambda d: d.update(shared_width=0), "shared_width"),
+    (lambda d: d.update(tau=0.0), "tau"),
+    (lambda d: d.update(rescale_momentum=0.0), "rescale_momentum"),
+    (lambda d: d.update(rescale_eps=0.0), "rescale_eps"),
+    (lambda d: d.update(version=2), "version"),
+], ids=["invalid value", "invalid plan value", "unknown field", "plan not an object",
+        "lam", "betas", "sample_fraction", "distance_filter", "epochs",
+        "learning_rate", "batch_size", "split_ratio", "random_edge_max",
+        "bijection", "width", "tau", "rescale_momentum", "rescale_eps", "version"])
+def test_invalid_config_file_exits_3(tmp_path, edit, named, capsys):
+    # the base config is valid: 20 anchors fit in its 32 training samples
+    doc = ExperimentConfig(n_samples=40, anchor_count=20).to_dict()
     edit(doc)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     assert main(["--config", str(path), "--out", str(tmp_path / "d.json"),
                  "generate"]) == 3
-    assert "invalid config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config") and named in err
 
 
 def test_negative_seed_exits_3(tmp_path, capsys):

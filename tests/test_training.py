@@ -4,6 +4,7 @@ import pytest
 from conceptspace.config import ExperimentConfig, LossConfig, TrainPlan
 from conceptspace.data import generate_xor_and_xor, split, whole_batch
 from conceptspace.errors import ConfigurationError
+from conceptspace.evaluation import model_codes
 from conceptspace.model import ForwardResult, SharedConceptModel
 from conceptspace.rng import substream
 from conceptspace.training import (
@@ -15,8 +16,10 @@ from conceptspace.training import (
     total_loss,
     train,
     _bce_with_logits,
+    _code_purity_probe,
     _total_loss_with_grads,
 )
+from conceptspace.tree import BinaryCodeTree
 
 from oracles import bce_reference
 
@@ -218,6 +221,21 @@ def test_training_is_deterministic(tiny_split):
     p1, p2 = runs[0][0], runs[1][0]
     assert all(np.array_equal(p1[k], p2[k]) for k in p1)
     assert runs[0][1] == runs[1][1]
+
+
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_code_purity_is_completeness_tree_training_accuracy(tiny_split, epochs):
+    cfg = tiny_cfg(epochs=max(epochs, 1))
+    model = SharedConceptModel(cfg, substream(cfg.seed, "init"))
+    if epochs:
+        train(model, tiny_split, cfg)
+    else:   # initial weights; one train-mode pass gives eval mode its statistics
+        model.forward(whole_batch(tiny_split.train), "train",
+                      gumbel_rng=substream(cfg.seed, "gumbel"))
+    codes, labels = model_codes(model, tiny_split.train)
+    tree = BinaryCodeTree().fit(codes, labels)
+    purity = _code_purity_probe(tiny_split.train, cfg.n_classes, 64)(model)
+    assert purity == (tree.predict(codes) == labels).mean()
 
 
 def test_sequential_freezes_encoders(tiny_split):

@@ -18,8 +18,14 @@ for its neighborhood at radius 0.3, its cross-modal top 5, its cross-modal
 neighbors within 0.4 and its substitute in the other modality; then every
 code the index holds asks for its prototype. The fixture is only read.
 
+Two more lines follow. `dataset/seed0` gives the sha256 of the save_dataset
+bytes of the datasets of seeds 0 and 3 (n_samples=300) under both bijections,
+and the sha256 of the same files loaded with load_dataset and saved again; the
+two are equal when the round trip is lossless. `embedding/shared_seed0` gives
+the sha256 of the fixture index's 2-D PCA export (save_pca_csv).
+
 Run from the root of a checkout; it imports the `src/` next to it, so the
-same script fingerprints any two commits:
+same script fingerprints any two commits that have `cli._evaluate`:
 
     python tools/fingerprint.py
 """
@@ -39,9 +45,9 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from conceptspace.baselines import BASELINE_KINDS
-from conceptspace.cli import _generate, _train_one
-from conceptspace.config import MODALITIES, ExperimentConfig, TrainPlan
-from conceptspace.data import split
+from conceptspace.cli import _evaluate, _generate, _train_one
+from conceptspace.config import BIJECTIONS, MODALITIES, ExperimentConfig, TrainPlan
+from conceptspace.data import load_dataset, save_dataset, split
 from conceptspace.evaluation import evaluate_model
 from conceptspace.explain import (
     build_index,
@@ -49,6 +55,7 @@ from conceptspace.explain import (
     encode_samples,
     neighborhood,
     prototype,
+    save_pca_csv,
     substitute_missing,
 )
 from conceptspace.model import load_model, save_model
@@ -76,10 +83,27 @@ def fingerprint(kind: str, regime: str, out_dir: str) -> tuple[str, str, str]:
     report_path = os.path.join(out_dir, f"{kind}_{regime}_report.json")
     save_model(model, ckpt)
     save_history(history, csv_path)
-    loaded = load_model(ckpt)
-    index = build_index(loaded, ds.train) if hasattr(loaded, "index_spaces") else None
-    evaluate_model(loaded, index, ds, cfg.hash()).save_json(report_path)
+    _evaluate(load_model(ckpt), ds, cfg.hash()).save_json(report_path)
     return _sha256(ckpt), _sha256(csv_path), _sha256(report_path)
+
+
+def fingerprint_datasets(out_dir: str) -> tuple[str, str]:
+    saved, resaved = hashlib.sha256(), hashlib.sha256()
+    path = os.path.join(out_dir, "dataset.json")
+    for seed in (0, 3):
+        for bijection in BIJECTIONS:
+            cfg = ExperimentConfig(seed=seed, n_samples=300, bijection=bijection)
+            save_dataset(_generate(cfg), path, seed=seed,
+                         random_edge_max=cfg.random_edge_max, bijection=bijection)
+            with open(path, "rb") as fh:
+                saved.update(fh.read())
+            samples, header = load_dataset(path)
+            save_dataset(samples, path, seed=header["seed"],
+                         random_edge_max=header["random_edge_max"],
+                         bijection=header["bijection"])
+            with open(path, "rb") as fh:
+                resaved.update(fh.read())
+    return saved.hexdigest(), resaved.hexdigest()
 
 
 def _spaces_sha256(spaces: dict) -> str:
@@ -119,11 +143,15 @@ def main() -> int:
         for kind, regime in JOBS:
             hashes = fingerprint(kind, regime, out_dir)
             print(f"{kind}/{regime}", *hashes)
-    model = load_model(FIXTURE)
-    ds = split(_generate(model.config), model.config.split_ratio, model.config.seed)
-    index = build_index(model, ds.train)
-    print("read_path/shared_seed0", *fingerprint_read_path(model, ds, index))
-    print("queries/shared_seed0", fingerprint_queries(model, ds, index))
+        model = load_model(FIXTURE)
+        ds = split(_generate(model.config), model.config.split_ratio, model.config.seed)
+        index = build_index(model, ds.train)
+        print("read_path/shared_seed0", *fingerprint_read_path(model, ds, index))
+        print("queries/shared_seed0", fingerprint_queries(model, ds, index))
+        print("dataset/seed0", *fingerprint_datasets(out_dir))
+        pca_path = os.path.join(out_dir, "embedding_pca.csv")
+        save_pca_csv(index, pca_path)
+        print("embedding/shared_seed0", _sha256(pca_path))
     return 0
 
 
