@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import MODALITIES, ExperimentConfig
-from .data import Batch, DatasetSplit, as_arrays, translation_batch, whole_batch
+from .data import Batch, DatasetSplit, translation_batch, whole_batch
 from .model import ConcatHeadModel, fresh_encoders, predict_side_by_side
 from .nn import MLP, Module
 from .rng import substream
@@ -97,9 +97,8 @@ class RelativeModel(Module):
         self.anchor_ids[...] = ids
         by_id = {s.id: s for s in samples}
         anchors = [by_id[int(i)] for i in ids]
-        arrays = as_arrays(anchors, self.config.bijection)
-        own = whole_batch(anchors, arrays)
-        translated = translation_batch(anchors, arrays=arrays)
+        own = whole_batch(anchors, self.config.bijection)
+        translated = translation_batch(anchors, packed=own)
         self.anchor_emb["graph"][...] = self.unimodal["graph"].embed(own, "eval")["graph"]
         self.anchor_emb["tabular"][...] = self.unimodal["tabular"].embed(
             translated, "eval")["tabular"]

@@ -1,9 +1,10 @@
 """Command-line harness: generate / train / eval / explain / reproduce.
 
-Exit codes: 0 success, 1 usage error, 2 I/O failure or a malformed dataset
-file, 3 configuration or model/regime mismatch, 4 checkpoint/dataset
-mismatch, 5 explanation-domain error (e.g. a concept code no training sample
-carries).
+Exit codes: 0 success, 1 usage error (including a --workers below 1), 2 I/O
+failure or a malformed dataset file, 3 configuration or model/regime mismatch
+or diverged training (a loss or test logit that is not finite), 4
+checkpoint/dataset mismatch, 5 explanation-domain error (e.g. a concept code
+no training sample carries).
 """
 
 from __future__ import annotations
@@ -178,9 +179,11 @@ def cmd_explain(args) -> int:
     if not hasattr(model, "index_spaces"):
         raise ConfigurationError(f"a {model.kind} model has no concept space to explain")
     index = build_index(model, ds.train)
+    sub = args.subcommand
+    if sub == "prototype" and index.codes is None:
+        raise ConfigurationError(f"a {model.kind} model has no concept codes")
     out_dir = args.out or model.config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    sub = args.subcommand
 
     if sub == "embedding":
         path = os.path.join(out_dir, "embedding_pca.csv")
@@ -189,7 +192,7 @@ def cmd_explain(args) -> int:
         return 0
 
     if sub == "prototype":
-        width = 0 if index.codes is None else index.codes.shape[1]
+        width = index.codes.shape[1]
         if len(args.code) != width:
             raise NoSuchConceptError(f"--code has {len(args.code)} bits; this "
                                      f"checkpoint's concept codes have {width}")
@@ -339,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="root seed override")
     parser.add_argument("--out", help="output file or directory")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel worker processes (reproduce)")
+    parser.add_argument("--workers", default=1, help="parallel worker processes (reproduce)",
+                        type=_checked(int, lambda v: v >= 1, "a positive integer"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("generate", help="write a dataset JSON file")

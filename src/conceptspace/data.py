@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -284,6 +284,10 @@ def graph_rendering(sample: PairedSample, bijection: str = "default"):
 
 
 # -- batching ----------------------------------------------------------------
+#
+# A Batch is the one packed form of samples. as_arrays packs samples in list
+# order; every other batch is rows taken from a packed batch (Batch.take) or a
+# packed batch with its own and aux fields swapped (translation_batch).
 
 @dataclass(frozen=True)
 class Batch:
@@ -301,6 +305,14 @@ class Batch:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def take(self, idx: np.ndarray) -> Batch:
+        """Rows `idx` of this batch, in that order, as a batch of their own
+        (integer-array indexing copies, so it shares no array with this one)."""
+        arrays = {name: value[idx] for name, value in vars(self).items()
+                  if isinstance(value, np.ndarray)}
+        return replace(self, ids=tuple(self.ids[i] for i in idx),
+                       local={m: v[idx] for m, v in self.local.items()}, **arrays)
+
 
 def normalized_adjacency(node_count: int, edges) -> np.ndarray:
     """Symmetric degree-normalized adjacency with self-loops."""
@@ -312,34 +324,6 @@ def normalized_adjacency(node_count: int, edges) -> np.ndarray:
     return a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
 
-def as_arrays(samples, bijection: str = "default", with_aux: bool = True) -> dict:
-    """Pack a list of samples into model-ready arrays (in list order)."""
-    n = len(samples)
-    arr = {
-        "ids": np.array([s.id for s in samples], dtype=np.int64),
-        "graph_x": np.zeros((n, NODE_COUNT, 1)),
-        "graph_adj": np.zeros((n, NODE_COUNT, NODE_COUNT)),
-        "tab_x": np.zeros((n, N_BITS)),
-        "y": np.array([s.global_label for s in samples], dtype=np.int64),
-        "local_graph": np.array([s.local_label_graph for s in samples], dtype=np.int64),
-        "local_tab": np.array([s.local_label_tab for s in samples], dtype=np.int64),
-    }
-    for k, s in enumerate(samples):
-        arr["graph_x"][k, :, 0] = s.graph.node_features
-        arr["graph_adj"][k] = normalized_adjacency(s.graph.node_count, s.graph.edges)
-        arr["tab_x"][k] = s.tabular.bits
-    if with_aux:
-        arr["aux_graph_x"] = np.zeros((n, NODE_COUNT, 1))
-        arr["aux_graph_adj"] = np.zeros((n, NODE_COUNT, NODE_COUNT))
-        arr["aux_tab_x"] = np.zeros((n, N_BITS))
-        for k, s in enumerate(samples):
-            _, feats, adj = _rendered_graph(s, bijection)
-            arr["aux_graph_x"][k, :, 0] = feats
-            arr["aux_graph_adj"][k] = adj
-            arr["aux_tab_x"][k] = tabular_rendering(s, bijection)
-    return arr
-
-
 def one_hot(labels: np.ndarray) -> np.ndarray:
     """(n, 2) float targets of binary labels."""
     onehot = np.zeros((len(labels), 2))
@@ -347,31 +331,43 @@ def one_hot(labels: np.ndarray) -> np.ndarray:
     return onehot
 
 
-def _batch_from_arrays(arr: dict, idx: np.ndarray) -> Batch:
-    y = arr["y"][idx]
-    aux = {}
-    if "aux_tab_x" in arr:
-        aux = {
-            "aux_graph_x": arr["aux_graph_x"][idx],
-            "aux_graph_adj": arr["aux_graph_adj"][idx],
-            "aux_tab_x": arr["aux_tab_x"][idx],
-        }
-    return Batch(
-        ids=tuple(int(i) for i in arr["ids"][idx]),
-        graph_x=arr["graph_x"][idx],
-        graph_adj=arr["graph_adj"][idx],
-        tab_x=arr["tab_x"][idx],
-        y=y,
-        y_onehot=one_hot(y),
-        local={"graph": arr["local_graph"][idx], "tabular": arr["local_tab"][idx]},
-        **aux,
-    )
+def as_arrays(samples, bijection: str = "default", with_aux: bool = True) -> Batch:
+    """Pack a list of samples into one model-ready Batch, in list order.
+    with_aux=False leaves out the translation renderings (the aux fields),
+    which eval-mode encoding never reads."""
+    n = len(samples)
+    graph_x = np.zeros((n, NODE_COUNT, 1))
+    graph_adj = np.zeros((n, NODE_COUNT, NODE_COUNT))
+    tab_x = np.zeros((n, N_BITS))
+    for k, s in enumerate(samples):
+        graph_x[k, :, 0] = s.graph.node_features
+        graph_adj[k] = normalized_adjacency(s.graph.node_count, s.graph.edges)
+        tab_x[k] = s.tabular.bits
+    y = np.array([s.global_label for s in samples], dtype=np.int64)
+    batch = Batch(
+        ids=tuple(int(s.id) for s in samples), graph_x=graph_x, graph_adj=graph_adj,
+        tab_x=tab_x, y=y, y_onehot=one_hot(y),
+        local={"graph": np.array([s.local_label_graph for s in samples], dtype=np.int64),
+               "tabular": np.array([s.local_label_tab for s in samples], dtype=np.int64)})
+    if not with_aux:
+        return batch
+    aux_graph_x = np.zeros((n, NODE_COUNT, 1))
+    aux_graph_adj = np.zeros((n, NODE_COUNT, NODE_COUNT))
+    aux_tab_x = np.zeros((n, N_BITS))
+    for k, s in enumerate(samples):
+        _, feats, adj = _rendered_graph(s, bijection)
+        aux_graph_x[k, :, 0] = feats
+        aux_graph_adj[k] = adj
+        aux_tab_x[k] = tabular_rendering(s, bijection)
+    return replace(batch, aux_graph_x=aux_graph_x, aux_graph_adj=aux_graph_adj,
+                   aux_tab_x=aux_tab_x)
 
 
 def batches(samples, batch_size: int, *, rng=None, shuffle: bool = False,
-            drop_singleton: bool = False, arrays: dict | None = None,
+            drop_singleton: bool = False, packed: Batch | None = None,
             bijection: str = "default") -> list[Batch]:
-    """Partition samples into batches, in id order unless shuffled.
+    """Partition samples into batches, in list order unless shuffled, taking
+    them from `packed` (as_arrays of the samples) when it is given.
 
     Training passes drop_singleton=True: a trailing batch of one sample is
     dropped because batch standardization is degenerate there. Evaluation
@@ -379,9 +375,9 @@ def batches(samples, batch_size: int, *, rng=None, shuffle: bool = False,
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    if arrays is None:
-        arrays = as_arrays(samples, bijection)
-    n = len(arrays["ids"])
+    if packed is None:
+        packed = as_arrays(samples, bijection)
+    n = len(packed)
     order = np.arange(n)
     if shuffle:
         if rng is None:
@@ -394,37 +390,28 @@ def batches(samples, batch_size: int, *, rng=None, shuffle: bool = False,
         idx = order[start:start + batch_size]
         if drop_singleton and len(idx) == 1:
             continue
-        out.append(_batch_from_arrays(arrays, idx))
+        out.append(packed.take(idx))
     return out
 
 
-def whole_batch(samples, arrays: dict | None = None,
-                bijection: str = "default") -> Batch:
-    """All samples as a single evaluation batch."""
-    if arrays is None:
-        arrays = as_arrays(samples, bijection)
-    return _batch_from_arrays(arrays, np.arange(len(arrays["ids"])))
-
-
-def _eval_batch(samples) -> Batch:
-    """All samples as one batch without the translation renderings, which
-    eval-mode encoding never reads."""
-    return whole_batch(samples, as_arrays(samples, with_aux=False))
+def whole_batch(samples, bijection: str = "default") -> Batch:
+    """All samples as a single batch, with the translation renderings."""
+    return as_arrays(samples, bijection)
 
 
 def translation_batch(samples, bijection: str = "default",
-                      arrays: dict | None = None) -> Batch:
+                      packed: Batch | None = None) -> Batch:
     """A batch whose modality slots hold the cross-modal renderings: the graph
     slot carries each sample's tabular content as a graph, the tabular slot
-    the graph content as bits. Encoding it yields the auxiliary
-    representations used when a modality is missing. Given `arrays`, they
-    must hold the aux rows."""
-    arr = arrays if arrays is not None else as_arrays(samples, bijection)
-    swapped = dict(arr)
-    swapped["graph_x"], swapped["aux_graph_x"] = arr["aux_graph_x"], arr["graph_x"]
-    swapped["graph_adj"], swapped["aux_graph_adj"] = arr["aux_graph_adj"], arr["graph_adj"]
-    swapped["tab_x"], swapped["aux_tab_x"] = arr["aux_tab_x"], arr["tab_x"]
-    return _batch_from_arrays(swapped, np.arange(len(arr["ids"])))
+    the graph content as bits, and the aux slots the samples' own inputs.
+    Encoding it yields the auxiliary representations used when a modality is
+    missing. Given `packed` (as_arrays of the samples, with the aux rows), it
+    shares that batch's arrays; translating a translation gives the fields
+    back."""
+    b = packed if packed is not None else as_arrays(samples, bijection)
+    return replace(b, graph_x=b.aux_graph_x, aux_graph_x=b.graph_x,
+                   graph_adj=b.aux_graph_adj, aux_graph_adj=b.graph_adj,
+                   tab_x=b.aux_tab_x, aux_tab_x=b.tab_x)
 
 
 # -- serialization -----------------------------------------------------------

@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MODALITIES, other_modality
-from .data import as_arrays, translation_batch, whole_batch
+from .data import as_arrays, translation_batch
 from .explain import ConceptIndex, _nearest, concept_codes, substitute_matrix
 from .tree import BinaryCodeTree
 
 
 class _EncodedSamples(tuple):
-    """Samples packed into model-ready arrays once, with the model's eval
+    """Samples packed into one Batch once, with the model's eval
     logits and index spaces for them, each computed on first use.
     evaluate_model hands one to every metric helper it calls, so the test
     split is packed once, run forward once and encoded once per batch; a
@@ -35,8 +35,7 @@ class _EncodedSamples(tuple):
     def __new__(cls, model, samples, with_aux: bool):
         self = super().__new__(cls, samples)
         self.model = model
-        self.arrays = as_arrays(self, model.config.bijection, with_aux=with_aux)
-        self.batch = whole_batch(self, self.arrays)
+        self.batch = as_arrays(self, model.config.bijection, with_aux=with_aux)
         return self
 
     @functools.cached_property
@@ -51,7 +50,7 @@ class _EncodedSamples(tuple):
     @functools.cached_property
     def aux_spaces(self) -> dict:
         """Index spaces of the translation batch (the aux rows swapped in)."""
-        return self.model.index_spaces(translation_batch(self, arrays=self.arrays))
+        return self.model.index_spaces(translation_batch(self, packed=self.batch))
 
 
 def _encoded(model, samples, with_aux: bool = False) -> _EncodedSamples:

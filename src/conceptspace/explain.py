@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MODALITIES, other_modality
-from .data import _eval_batch
+from .data import as_arrays
 from .errors import NoSuchConceptError
 
 EXPLANATION_KINDS = ("neighborhood", "cross_modal", "substitution")
@@ -57,7 +57,7 @@ def build_index(model, samples) -> ConceptIndex:
         raise RuntimeError("index requires a trained model")
     order = np.argsort([s.id for s in samples])
     ordered = [samples[i] for i in order]
-    batch = _eval_batch(ordered)
+    batch = as_arrays(ordered, with_aux=False)
     spaces = model.index_spaces(batch)
     z = codes = None
     if getattr(model, "concept_based", False):
@@ -107,7 +107,7 @@ def save_explanation(expl: Explanation, path: str) -> None:
 
 def encode_samples(model, samples) -> dict:
     """Eval-mode representations for arbitrary samples (test or train)."""
-    return model.index_spaces(_eval_batch(samples))
+    return model.index_spaces(as_arrays(samples, with_aux=False))
 
 
 # -- queries -------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MODALITIES, ExperimentConfig, LossConfig
-from .data import Batch, DatasetSplit, _eval_batch, as_arrays, batches, one_hot
+from .data import Batch, DatasetSplit, as_arrays, batches, one_hot
 from .errors import ConfigurationError
 from .explain import concept_codes
 from .model import ConcatHeadModel, ForwardResult, SharedConceptModel, _model_blocks
@@ -182,7 +182,7 @@ def _code_purity_probe(samples, n_classes: int, batch_size: int):
     row_of = {"graph": [at[first_graph[key]] for key in graph_key],
               "tabular": [at[first_bits[s.tabular.bits]] for s in samples]}
     probe = [samples[i] for i in rows]
-    probe_batches = batches(probe, batch_size, arrays=as_arrays(probe, with_aux=False))
+    probe_batches = batches(probe, batch_size, packed=as_arrays(probe, with_aux=False))
     labels = np.array([s.global_label for s in samples])
 
     def purity(model) -> float:
@@ -239,7 +239,7 @@ class _Run:
 
     cfg: ExperimentConfig
     split: DatasetSplit
-    train_arrays: dict
+    train_batch: Batch
     test_batch: Batch             # eval mode only, so without aux rows
     shuffle_rng: np.random.Generator
     gumbel_rng: np.random.Generator
@@ -248,7 +248,7 @@ class _Run:
 
 def _start(split: DatasetSplit, cfg: ExperimentConfig) -> _Run:
     return _Run(cfg, split, as_arrays(split.train, cfg.bijection),
-                _eval_batch(split.test),
+                as_arrays(split.test, with_aux=False),
                 substream(cfg.seed, "shuffle"), substream(cfg.seed, "gumbel"),
                 substream(cfg.seed, "regdraw"))
 
@@ -266,7 +266,8 @@ def _fit(run: _Run, params: dict, grads: dict, step, epochs: int, evaluate,
     batch's losses by history column, then take an Adam step on `params`.
     After each epoch, evaluate() gives the test split's logits and labels,
     whose accuracy goes into the history row with the epoch's mean batch
-    losses.
+    losses. A loss or test logit that is not finite raises ConfigurationError:
+    the run has diverged, e.g. under too large a learning rate.
     """
     opt = Adam(params, run.cfg.plan.learning_rate)
     history = []
@@ -275,18 +276,25 @@ def _fit(run: _Run, params: dict, grads: dict, step, epochs: int, evaluate,
         n_batches = 0
         for batch in batches(run.split.train, run.cfg.plan.batch_size,
                              rng=run.shuffle_rng, shuffle=True, drop_singleton=True,
-                             arrays=run.train_arrays):
+                             packed=run.train_batch):
             for g in grads.values():
                 g[...] = 0.0
             for column, value in step(batch).items():
+                _check_finite(value, column, first_epoch + epoch)
                 sums[column] += value
             opt.step(grads)
             n_batches += 1
         logits, labels = evaluate()
+        _check_finite(logits, "the test logits of test_accuracy", first_epoch + epoch)
         history.append({"epoch": first_epoch + epoch,
                         **{k: float(v / n_batches) for k, v in sums.items()},
                         "test_accuracy": float((logits.argmax(axis=1) == labels).mean())})
     return history
+
+
+def _check_finite(values, what: str, epoch: int) -> None:
+    if not np.isfinite(values).all():
+        raise ConfigurationError(f"training diverged in epoch {epoch}: {what} is not finite")
 
 
 def _losses(breakdown: LossBreakdown) -> dict:

@@ -118,6 +118,20 @@ def test_train_and_eval_relative(workdir, tmp_path):
                  "--dataset", workdir["dataset"]]) == 0
 
 
+def test_diverging_training_exits_3(workdir, tmp_path, capsys):
+    doc = json.loads(open(workdir["config"]).read())
+    doc["plan"]["learning_rate"] = 1e300
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):
+        assert main(["--config", str(path), "--out", str(tmp_path / "run"), "train",
+                     "--dataset", workdir["dataset"], "--model", "shared"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged in epoch 0:")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 # -- eval --------------------------------------------------------------------------
 
 def test_eval_writes_report_and_ledger(workdir, tmp_path):
@@ -231,6 +245,20 @@ def test_explain_model_without_concept_space_exits_3(workdir, tmp_path, query, c
                  "--dataset", workdir["dataset"]]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "simple" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_explain_prototype_without_concept_codes_exits_3(workdir, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["--config", workdir["config"], "--out", str(run), "train",
+                 "--dataset", workdir["dataset"], "--model", "relative"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "explained"
+    assert main(["--out", str(out), "explain", "prototype", "--code", "0101",
+                 "--checkpoint", str(run / "relative_seed0.ckpt"),
+                 "--dataset", workdir["dataset"]]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: a relative model has no concept codes\n"
     assert not out.exists()
 
 
@@ -419,6 +447,16 @@ def test_bad_option_value_is_a_usage_error(workdir, tmp_path, args, capsys):
 def test_bad_seed_list_is_a_usage_error(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "reproduce", "--seeds", "0,x"]) == 1
     assert "'0,x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_nonpositive_workers_is_a_usage_error(tmp_path, workers, capsys):
+    out = tmp_path / "out"
+    assert main(["--config", micro_config(tmp_path), "--workers", workers,
+                 "--out", str(out), "reproduce", "--seeds", "0"]) == 1
+    assert f"argument --workers: '{workers}' is not a positive integer" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_prototype_code_of_wrong_width_exits_5(workdir, tmp_path, capsys):

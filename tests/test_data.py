@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -254,6 +255,39 @@ def test_batch_tensors(thousand):
     assert b.aux_graph_x.shape == (8, 10, 1)
 
 
+def assert_same_batch(got, want):
+    """Every field equal, byte for byte: the ids as Python ints, each array
+    in dtype, shape and bytes, and None where the other has None."""
+    assert got.ids == want.ids and all(type(i) is int for i in got.ids)
+    assert list(got.local) == list(want.local)
+    pairs = [(f"local.{m}", got.local[m], want.local[m]) for m in want.local]
+    pairs += [(f.name, getattr(got, f.name), getattr(want, f.name))
+              for f in fields(want) if f.name not in ("ids", "local")]
+    for name, a, b in pairs:
+        if a is None or b is None:
+            assert a is b, name
+        else:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@pytest.mark.parametrize("bijection", BIJECTIONS)
+@pytest.mark.parametrize("kw", [{}, {"shuffle": True, "rng": 3}, {"drop_singleton": True}],
+                         ids=["plain", "shuffled", "drop_singleton"])
+def test_each_batch_equals_packing_its_samples(thousand, bijection, kw):
+    some = thousand[:65]          # 4 batches of 16, then a singleton
+    by_id = {s.id: s for s in some}
+    parts = batches(some, 16, bijection=bijection, **kw)
+    assert len(parts) == (4 if kw.get("drop_singleton") else 5)
+    for part in parts:
+        assert_same_batch(part, as_arrays([by_id[i] for i in part.ids], bijection))
+
+
+@pytest.mark.parametrize("bijection", BIJECTIONS)
+def test_whole_batch_is_the_packed_samples(thousand, bijection):
+    assert_same_batch(whole_batch(thousand[:20], bijection),
+                      as_arrays(thousand[:20], bijection))
+
+
 def test_normalized_adjacency_symmetric_rows():
     adj = normalized_adjacency(4, ((0, 1), (1, 2)))
     assert np.allclose(adj, adj.T)
@@ -289,8 +323,8 @@ def test_cached_renderings_equal_fresh_ones(thousand, bijection):
         for _ in range(2):           # the second pass reads the cache
             arr = as_arrays(some, bijection)
             for k in range(len(some)):
-                assert np.array_equal(arr["aux_graph_x"][k, :, 0], want_x)
-                assert np.array_equal(arr["aux_graph_adj"][k], want_adj)
+                assert np.array_equal(arr.aux_graph_x[k, :, 0], want_x)
+                assert np.array_equal(arr.aux_graph_adj[k], want_adj)
             got_edges, feats = graph_rendering(some[0], bijection)
             assert got_edges == edges and np.array_equal(feats, want_x)
             with pytest.raises(ValueError):
@@ -304,6 +338,16 @@ def test_translation_batch_swaps_renderings(thousand):
     assert np.array_equal(swapped.tab_x, own.aux_tab_x)
     assert np.array_equal(swapped.graph_x, own.aux_graph_x)
     assert np.array_equal(swapped.aux_tab_x, own.tab_x)
+
+
+@pytest.mark.parametrize("bijection", BIJECTIONS)
+def test_translating_twice_gives_the_fields_back(thousand, bijection):
+    own = as_arrays(thousand[:9], bijection)
+    once = translation_batch(None, packed=own)
+    assert once.graph_x is own.aux_graph_x and once.aux_tab_x is own.tab_x   # no copy
+    assert_same_batch(translation_batch(None, packed=once), own)
+    assert_same_batch(translation_batch(None, packed=translation_batch(thousand[:9], bijection)),
+                      own)
 
 
 # -- serialization ----------------------------------------------------------------

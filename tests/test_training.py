@@ -17,6 +17,8 @@ from conceptspace.training import (
     train,
     _bce_with_logits,
     _code_purity_probe,
+    _fit,
+    _start,
     _total_loss_with_grads,
 )
 from conceptspace.tree import BinaryCodeTree
@@ -236,6 +238,28 @@ def test_code_purity_is_completeness_tree_training_accuracy(tiny_split, epochs):
     tree = BinaryCodeTree().fit(codes, labels)
     purity = _code_purity_probe(tiny_split.train, cfg.n_classes, 64)(model)
     assert purity == (tree.predict(codes) == labels).mean()
+
+
+@pytest.mark.parametrize("regime", ["end_to_end", "sequential", "local_pretrain"])
+def test_diverging_training_raises(tiny_split, regime):
+    cfg = tiny_cfg(epochs=2, phase2_epochs=2, use_local_supervision=True)
+    cfg.plan.regime = regime
+    cfg.plan.learning_rate = 1e300
+    model = SharedConceptModel(cfg, substream(cfg.seed, "init"),
+                               with_local_heads=(regime == "local_pretrain"))
+    with np.errstate(all="ignore"), pytest.raises(
+            ConfigurationError, match=r"^training diverged in epoch 0: \w+ is not finite$"):
+        train(model, tiny_split, cfg)
+    assert not getattr(model, "trained", False)
+
+
+def test_non_finite_test_logits_stop_training(tiny_split):
+    def evaluate():
+        return np.array([[0.0, 1.0], [np.inf, 0.0]]), np.array([1, 0])
+
+    with pytest.raises(ConfigurationError, match="epoch 3: the test logits"):
+        _fit(_start(tiny_split, tiny_cfg()), {}, {}, lambda batch: {"task_loss": 0.5},
+             2, evaluate, first_epoch=3)
 
 
 def test_sequential_freezes_encoders(tiny_split):

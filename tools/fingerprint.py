@@ -24,6 +24,11 @@ and the sha256 of the same files loaded with load_dataset and saved again; the
 two are equal when the round trip is lossless. `embedding/shared_seed0` gives
 the sha256 of the fixture index's 2-D PCA export (save_pca_csv).
 
+`batches/seed0` gives the sha256 of every field (name, dtype, shape and
+bytes of each array, repr of the ids) of the batches the seed-0 dataset
+(n_samples=300) is packed into under each bijection: its whole_batch, its
+translation_batch and one shuffled, singleton-dropping batches() pass.
+
 Run from the root of a checkout; it imports the `src/` next to it, so the
 same script fingerprints any two commits that have `cli._evaluate`:
 
@@ -37,7 +42,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -47,7 +52,14 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from conceptspace.baselines import BASELINE_KINDS
 from conceptspace.cli import _evaluate, _generate, _train_one
 from conceptspace.config import BIJECTIONS, MODALITIES, ExperimentConfig, TrainPlan
-from conceptspace.data import load_dataset, save_dataset, split
+from conceptspace.data import (
+    batches,
+    load_dataset,
+    save_dataset,
+    split,
+    translation_batch,
+    whole_batch,
+)
 from conceptspace.evaluation import evaluate_model
 from conceptspace.explain import (
     build_index,
@@ -106,6 +118,30 @@ def fingerprint_datasets(out_dir: str) -> tuple[str, str]:
     return saved.hexdigest(), resaved.hexdigest()
 
 
+def _batch_update(digest, batch) -> None:
+    for f in fields(batch):
+        value = getattr(batch, f.name)
+        for key, part in value.items() if isinstance(value, dict) else [("", value)]:
+            digest.update(f"{f.name}{key}".encode())
+            if isinstance(part, np.ndarray):
+                digest.update(f"{part.dtype}{part.shape}".encode() + part.tobytes())
+            else:
+                digest.update(repr(part).encode())
+
+
+def fingerprint_batches() -> str:
+    digest = hashlib.sha256()
+    for bijection in BIJECTIONS:
+        cfg = ExperimentConfig(seed=0, n_samples=300, bijection=bijection)
+        samples = _generate(cfg)
+        for batch in (whole_batch(samples, bijection=bijection),
+                      translation_batch(samples, bijection),
+                      *batches(samples, cfg.plan.batch_size, rng=0, shuffle=True,
+                               drop_singleton=True, bijection=bijection)):
+            _batch_update(digest, batch)
+    return digest.hexdigest()
+
+
 def _spaces_sha256(spaces: dict) -> str:
     digest = hashlib.sha256()
     for m in MODALITIES:
@@ -152,6 +188,7 @@ def main() -> int:
         pca_path = os.path.join(out_dir, "embedding_pca.csv")
         save_pca_csv(index, pca_path)
         print("embedding/shared_seed0", _sha256(pca_path))
+    print("batches/seed0", fingerprint_batches())
     return 0
 
 
