@@ -452,7 +452,7 @@ def _sample_from_record(rec: dict) -> PairedSample:
     missing = [k for k in _RECORD_FIELDS if k not in rec]
     if missing:
         raise ValueError(f"lacks {', '.join(missing)}")
-    if not isinstance(rec["id"], int):
+    if not isinstance(rec["id"], int) or isinstance(rec["id"], bool):
         raise ValueError(f"id {rec['id']!r} is not an integer")
     if len(rec["features"]) != NODE_COUNT:
         raise ValueError(f"has {len(rec['features'])} nodes, not {NODE_COUNT}")
@@ -474,9 +474,10 @@ def _sample_from_record(rec: dict) -> PairedSample:
 def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
     """Read a file written by save_dataset. Raises DatasetError when a header
     field, `samples` or a record field is missing, the header's n_samples
-    differs from the record count, an id repeats, a graph does not have
-    NODE_COUNT nodes, or a label disagrees with the bits and family. Stored
-    features are taken as they are."""
+    differs from the record count, an id repeats or is not an integer (a
+    bool included), a graph does not have NODE_COUNT nodes, or a label
+    disagrees with the bits and family. Stored features are taken as they
+    are."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):

@@ -123,10 +123,13 @@ class GraphConv(Module):
         return self._ax @ self.W + self.b
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        self.dW += np.einsum("bni,bno->io", self._ax, g)
+        # every node of every graph is one row of a 2-D product
+        b, n, o = g.shape
+        rows = g.reshape(-1, o)
+        self.dW += self._ax.reshape(-1, self.W.shape[0]).T @ rows
         self.db += g.sum(axis=(0, 1))
         # adj is symmetric, so adj^T = adj
-        return self._adj @ (g @ self.W.T)
+        return self._adj @ (rows @ self.W.T).reshape(b, n, -1)
 
 
 class LeakyReLU:
@@ -282,7 +285,9 @@ class MLP(Module):
 
 
 class Adam:
-    """Adaptive moment estimation with the usual decay constants."""
+    """Adaptive moment estimation with the usual decay constants. The moments
+    are one flat vector each, a slice per parameter name, so a step is a few
+    whole-vector operations; the parameters stay separate arrays."""
 
     def __init__(self, params: dict, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -292,18 +297,21 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        offsets = np.cumsum([0] + [v.size for v in params.values()])
+        self.slices = dict(zip(params, map(slice, offsets[:-1], offsets[1:])))
+        self.m = np.zeros(offsets[-1])
+        self.v = np.zeros_like(self.m)
 
     def step(self, grads: dict) -> None:
         self.t += 1
+        if not self.params:
+            return
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
+        g = np.concatenate([grads[name].ravel() for name in self.params])
+        self.m = b1 * self.m + (1.0 - b1) * g
+        self.v = b2 * self.v + (1.0 - b2) * g * g
+        update = self.lr * (self.m / bias1) / (np.sqrt(self.v / bias2) + self.eps)
         for name, p in self.params.items():
-            g = grads[name]
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            mhat = self.m[name] / bias1
-            vhat = self.v[name] / bias2
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p -= update[self.slices[name]].reshape(p.shape)

@@ -267,28 +267,30 @@ def _fit(run: _Run, params: dict, grads: dict, step, epochs: int, evaluate,
     After each epoch, evaluate() gives the test split's logits and labels,
     whose accuracy goes into the history row with the epoch's mean batch
     losses. A loss or test logit that is not finite raises ConfigurationError:
-    the run has diverged, e.g. under too large a learning rate.
+    the run has diverged, e.g. under too large a learning rate. That error
+    reports a divergence, so numpy's floating-point warnings are off here.
     """
     opt = Adam(params, run.cfg.plan.learning_rate)
     history = []
-    for epoch in range(epochs):
-        sums = dict.fromkeys(HISTORY_COLUMNS[1:-1], 0.0)
-        n_batches = 0
-        for batch in batches(run.split.train, run.cfg.plan.batch_size,
-                             rng=run.shuffle_rng, shuffle=True, drop_singleton=True,
-                             packed=run.train_batch):
-            for g in grads.values():
-                g[...] = 0.0
-            for column, value in step(batch).items():
-                _check_finite(value, column, first_epoch + epoch)
-                sums[column] += value
-            opt.step(grads)
-            n_batches += 1
-        logits, labels = evaluate()
-        _check_finite(logits, "the test logits of test_accuracy", first_epoch + epoch)
-        history.append({"epoch": first_epoch + epoch,
-                        **{k: float(v / n_batches) for k, v in sums.items()},
-                        "test_accuracy": float((logits.argmax(axis=1) == labels).mean())})
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(first_epoch, first_epoch + epochs):
+            sums = dict.fromkeys(HISTORY_COLUMNS[1:-1], 0.0)
+            n_batches = 0
+            for batch in batches(run.split.train, run.cfg.plan.batch_size,
+                                 rng=run.shuffle_rng, shuffle=True, drop_singleton=True,
+                                 packed=run.train_batch):
+                for g in grads.values():
+                    g[...] = 0.0
+                for column, value in step(batch).items():
+                    _check_finite(value, column, epoch)
+                    sums[column] += value
+                opt.step(grads)
+                n_batches += 1
+            logits, labels = evaluate()
+            _check_finite(logits, "the test logits of test_accuracy", epoch)
+            history.append({"epoch": epoch,
+                            **{k: float(v / n_batches) for k, v in sums.items()},
+                            "test_accuracy": float((logits.argmax(axis=1) == labels).mean())})
     return history
 
 

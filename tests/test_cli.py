@@ -556,3 +556,15 @@ def test_damaged_dataset_exits_2(workdir, tmp_path, edit, capsys):
                  "--dataset", str(bad)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: dataset") for line in err)
+
+
+def test_boolean_sample_id_exits_2(workdir, tmp_path, capsys):
+    doc = json.loads(open(workdir["dataset"]).read())
+    doc["samples"][1]["id"] = True          # a bool is an int in Python
+    bad = tmp_path / "dataset.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["--config", workdir["config"], "--out", str(tmp_path), "train",
+                 "--dataset", str(bad), "--model", "shared"]) == 2
+    assert capsys.readouterr().err == (
+        "error: dataset record 1: id True is not an integer\n")
+    assert not list(tmp_path.glob("*.ckpt"))

@@ -224,6 +224,113 @@ def test_graph_conv_respects_adjacency():
     assert np.allclose(out[0, 2], out2[0, 2])
 
 
+def _normalized_adjacency(b, n):
+    """Random symmetric graphs with self-loops, D^-1/2 (A + I) D^-1/2."""
+    a = np.triu(rng.random((b, n, n)) < 0.3, 1)
+    a = a | a.transpose(0, 2, 1) | np.eye(n, dtype=bool)
+    d = 1.0 / np.sqrt(a.sum(axis=2))
+    return a * d[:, :, None] * d[:, None, :]
+
+
+@pytest.mark.parametrize("n_in, n_out", [(1, 30), (30, 30), (30, 7)])
+def test_graph_conv_backward_matches_finite_differences(n_in, n_out):
+    conv = GraphConv(n_in, n_out, rng, "c")
+    x = rng.normal(size=(3, 5, n_in))
+    adj = _normalized_adjacency(3, 5)
+    w = rng.normal(size=(3, 5, n_out))
+    conv.forward(x, adj)
+    dx = conv.backward(w)
+    h = 1e-6
+    for arr, grad in ((conv.W, conv.dW), (conv.b, conv.db), (x, dx)):
+        flat = arr.reshape(-1)
+        numeric = np.empty(flat.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            lp = float((conv.forward(x, adj) * w).sum())
+            flat[i] = orig - h
+            lm = float((conv.forward(x, adj) * w).sum())
+            flat[i] = orig
+            numeric[i] = (lp - lm) / (2 * h)
+        np.testing.assert_allclose(grad.ravel(), numeric, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("n_in, n_out", [(1, 30), (30, 30), (30, 7)])
+def test_graph_conv_weight_gradient_equals_per_graph_sum(n_in, n_out):
+    conv = GraphConv(n_in, n_out, rng, "c")
+    x = rng.normal(size=(128, 10, n_in))
+    adj = _normalized_adjacency(128, 10)
+    g = rng.normal(size=(128, 10, n_out))
+    conv.forward(x, adj)
+    conv.backward(g)
+    want = np.einsum("bni,bno->io", adj @ x, g)
+    # the sums are reordered, so an entry that nearly cancels is measured
+    # against the size of the whole matrix
+    np.testing.assert_allclose(conv.dW, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
+def test_graph_conv_backward_accumulates():
+    conv = GraphConv(4, 3, rng, "c")
+    inputs = [(rng.normal(size=(6, 5, 4)), _normalized_adjacency(6, 5),
+               rng.normal(size=(6, 5, 3))) for _ in range(2)]
+    alone = []
+    for x, adj, g in inputs:
+        conv.zero_grad()
+        conv.forward(x, adj)
+        conv.backward(g)
+        alone.append((conv.dW.copy(), conv.db.copy()))
+    conv.zero_grad()
+    for x, adj, g in inputs:
+        conv.forward(x, adj)
+        conv.backward(g)
+    np.testing.assert_allclose(conv.dW, alone[0][0] + alone[1][0], rtol=1e-12)
+    np.testing.assert_allclose(conv.db, alone[0][1] + alone[1][1], rtol=1e-12)
+
+
+def _adam_reference(params, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam written per array, one parameter after the other."""
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        bias1 = 1.0 - b1 ** t
+        bias2 = 1.0 - b2 ** t
+        for name, p in params.items():
+            g = grads[name]
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+            mhat = m[name] / bias1
+            vhat = v[name] / bias2
+            p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def test_adam_equals_per_array_reference_bit_for_bit():
+    shapes = {"enc.W": (4, 3), "enc.b": (3,), "head.W": (2, 5)}
+    start = {k: rng.normal(size=s) for k, s in shapes.items()}
+    grad_steps = [{k: rng.normal(size=s) for k, s in shapes.items()}
+                  for _ in range(5)]
+    ours = {k: v.copy() for k, v in start.items()}
+    arrays = dict(ours)
+    reference = {k: v.copy() for k, v in start.items()}
+    outside = rng.normal(size=(3, 2))
+    before = outside.copy()
+    opt = Adam(ours, lr=0.01)
+    for grads in grad_steps:
+        opt.step({**grads, "frozen.W": np.ones_like(outside)})
+    _adam_reference(reference, grad_steps, lr=0.01)
+    for name in shapes:
+        assert ours[name] is arrays[name]            # updated in place
+        assert ours[name].tobytes() == reference[name].tobytes()
+        assert not np.array_equal(ours[name], start[name])
+    assert outside.tobytes() == before.tobytes()
+
+
+def test_adam_over_no_parameters_is_a_no_op():
+    opt = Adam({}, lr=0.1)
+    opt.step({})
+    opt.step({"unused": np.ones(3)})
+
+
 def test_adam_minimizes_quadratic():
     p = {"w": np.array([5.0, -3.0])}
     opt = Adam(p, lr=0.1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,19 @@ def test_diverging_training_raises(tiny_split, regime):
             ConfigurationError, match=r"^training diverged in epoch 0: \w+ is not finite$"):
         train(model, tiny_split, cfg)
     assert not getattr(model, "trained", False)
+
+
+def test_diverging_training_raises_without_numpy_warnings():
+    cfg = ExperimentConfig(n_samples=120, seed=0, plan=TrainPlan(epochs=4, phase2_epochs=4))
+    cfg.plan.learning_rate = 1e300
+    data = split(generate_xor_and_xor(cfg.n_samples, cfg.seed, cfg.random_edge_max),
+                 cfg.split_ratio, cfg.seed)
+    model = SharedConceptModel(cfg, substream(cfg.seed, "init"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigurationError, match=r"^training diverged in epoch 0: "):
+            train(model, data, cfg)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_non_finite_test_logits_stop_training(tiny_split):
