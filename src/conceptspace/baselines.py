@@ -146,6 +146,6 @@ def train_baseline(model, split: DatasetSplit, cfg: ExperimentConfig):
     ids = np.sort(anchor_rng.choice(train_ids, size=cfg.anchor_count, replace=False))
     model.set_anchors(ids, split.train)
     history += train_task_only(model, split, cfg, cfg.plan.phase2_epochs,
-                               trainable=model.head.params())
+                               trainable=model.head.parameters())
     model.trained = True
     return history

@@ -1,7 +1,10 @@
 """Command-line harness: generate / train / eval / explain / reproduce.
 
 Exit codes: 0 success, 1 usage error (including a --workers below 1), 2 I/O
-failure or a malformed dataset file, 3 configuration or model/regime mismatch
+failure or a malformed dataset file (e.g. a bit or an edge endpoint that is not
+an integer, or a node feature that is not a finite number), 3 configuration or
+model/regime mismatch (e.g. an integer field holding a fraction or a boolean,
+a number field that is not finite, or not one loss.betas weight per modality)
 or diverged training (a loss or test logit that is not finite), 4
 checkpoint/dataset mismatch, 5 explanation-domain error (e.g. a concept code
 no training sample carries).

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import ConfigurationError
 
@@ -29,6 +30,31 @@ def other_modality(modality: str) -> str:
     return others[0]
 
 
+def is_integer(value) -> bool:
+    """An int that is not a bool (JSON true and false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """An int that is not a bool, or a float, within the finite float range."""
+    return ((is_integer(value) or isinstance(value, float))
+            and abs(value) <= sys.float_info.max)
+
+
+def _check_types(record) -> None:
+    """Every int field of a config dataclass holds an integer, every float
+    field a finite real number (an integer will do) and every bool field a
+    bool."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.type == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{f.name} must be true or false, not {value!r}")
+        if f.type == "int" and not is_integer(value):
+            raise ValueError(f"{f.name} must be an integer, not {value!r}")
+        if f.type == "float" and not is_finite_real(value):
+            raise ValueError(f"{f.name} must be a finite number, not {value!r}")
+
+
 @dataclass
 class LossConfig:
     """Objective weights: task term + distance regularizer + optional local terms."""
@@ -39,6 +65,9 @@ class LossConfig:
     distance_filter: str = "all"      # "all" or "positive" (keep only positive-label samples)
 
     def validate(self) -> None:
+        _check_types(self)
+        if len(self.betas) != len(MODALITIES) or not all(map(is_finite_real, self.betas)):
+            raise ValueError(f"betas must be one finite number per modality {MODALITIES}")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
         if any(b < 0 for b in self.betas):
@@ -60,6 +89,7 @@ class TrainPlan:
     batch_size: int = 64
 
     def validate(self) -> None:
+        _check_types(self)
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}")
         if self.epochs <= 0 or self.phase2_epochs <= 0:
@@ -99,6 +129,7 @@ class ExperimentConfig:
     out_dir: str = "."               # flags > file > this default
 
     def validate(self) -> None:
+        _check_types(self)
         if self.n_samples <= 0:
             raise ValueError("n_samples must be positive")
         if not 0 < self.split_ratio < 1:

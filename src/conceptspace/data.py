@@ -17,6 +17,7 @@ from enum import Enum
 
 import numpy as np
 
+from .config import is_finite_real, is_integer
 from .errors import DatasetError
 from .rng import substream
 
@@ -452,10 +453,18 @@ def _sample_from_record(rec: dict) -> PairedSample:
     missing = [k for k in _RECORD_FIELDS if k not in rec]
     if missing:
         raise ValueError(f"lacks {', '.join(missing)}")
-    if not isinstance(rec["id"], int) or isinstance(rec["id"], bool):
+    if not is_integer(rec["id"]):
         raise ValueError(f"id {rec['id']!r} is not an integer")
     if len(rec["features"]) != NODE_COUNT:
         raise ValueError(f"has {len(rec['features'])} nodes, not {NODE_COUNT}")
+    if not all(map(is_integer, rec["bits"])):
+        raise ValueError(f"bits {rec['bits']!r} are not all integers")
+    for edge in rec["edges"]:
+        if not all(map(is_integer, edge)):
+            raise ValueError(f"edge {edge!r} has an endpoint that is not an integer")
+    for value in rec["features"]:
+        if not is_finite_real(value):
+            raise ValueError(f"feature {value!r} is not a finite number")
     graph = GraphSample(
         node_count=NODE_COUNT,
         edges=tuple(tuple(e) for e in rec["edges"]),
@@ -475,9 +484,10 @@ def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
     """Read a file written by save_dataset. Raises DatasetError when a header
     field, `samples` or a record field is missing, the header's n_samples
     differs from the record count, an id repeats or is not an integer (a
-    bool included), a graph does not have NODE_COUNT nodes, or a label
-    disagrees with the bits and family. Stored features are taken as they
-    are."""
+    bool included), a graph does not have NODE_COUNT nodes, a bit or an edge
+    endpoint is not an integer, a feature is not a finite number (a bool is neither),
+    or a label disagrees with the bits and family. Stored feature values are
+    taken as they are."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):

@@ -122,20 +122,21 @@ def _nearest(stored: np.ndarray, queries: np.ndarray):
     return rows, np.sqrt(d2[np.arange(len(rows)), rows])
 
 
-def _ranked(index: ConceptIndex, query_vec: np.ndarray, modalities,
+def _ranked(index: ConceptIndex, query_vec: np.ndarray, modality: str,
             radius: float | None, top_k: int | None) -> list:
-    """(id, modality, distance) of the stored rows of `modalities`, ordered by
-    (distance, modality, id): those strictly within `radius`, or else the
-    first `top_k`."""
-    n = len(index)
-    dists = np.array([np.linalg.norm(index.spaces[m] - query_vec, axis=1)
-                      for m in modalities]).ravel()
-    names = np.repeat(np.asarray(modalities, dtype=str), n)
-    ids = np.tile(index.ids, len(modalities))
+    """(id, modality, distance) of the stored rows of `modality`, ordered by
+    (distance, id): those strictly within `radius`, or else the first `top_k`."""
+    if (radius is None) == (top_k is None):
+        raise ValueError("pass exactly one of radius or top_k")
+    if radius is not None and radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if top_k is not None and top_k < 1:
+        raise ValueError("top_k must be at least 1")
+    dists = np.linalg.norm(index.spaces[modality] - query_vec, axis=1)
     kept = np.flatnonzero(dists < radius) if radius is not None else np.arange(len(dists))
-    order = kept[np.lexsort((ids[kept], names[kept], dists[kept]))][:top_k]
-    return [(i, modalities[k // n], d) for k, i, d in
-            zip(order.tolist(), ids[order].tolist(), dists[order].tolist())]
+    order = kept[np.lexsort((index.ids[kept], dists[kept]))][:top_k]
+    return [(i, modality, d) for i, d in
+            zip(index.ids[order].tolist(), dists[order].tolist())]
 
 
 def prototype(index: ConceptIndex, code) -> int:
@@ -158,31 +159,23 @@ def prototype(index: ConceptIndex, code) -> int:
 def neighborhood(index: ConceptIndex, query_vec: np.ndarray, modality: str,
                  radius: float, query_id: int = -1) -> Explanation:
     """Training samples strictly within `radius` of the query, same modality."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    results = _ranked(index, query_vec, [modality], radius, None)
+    results = _ranked(index, query_vec, modality, radius, None)
     return Explanation("neighborhood", query_id, modality, results,
                        {"radius": radius})
 
 
 def cross_modal_retrieve(index: ConceptIndex, query_vec: np.ndarray,
-                         source_modality: str, target_modalities=None,
-                         radius: float | None = None, top_k: int | None = None,
-                         query_id: int = -1) -> Explanation:
-    """Nearest training samples from other modalities.
+                         source_modality: str, radius: float | None = None,
+                         top_k: int | None = None, query_id: int = -1) -> Explanation:
+    """Nearest training samples from the other modality.
 
     Radius mode keeps everything strictly within `radius`; top_k mode keeps
     the k nearest. Exactly one of the two must be given.
     """
-    if (radius is None) == (top_k is None):
-        raise ValueError("pass exactly one of radius or top_k")
-    if target_modalities is None:
-        target_modalities = [other_modality(source_modality)]
-    if source_modality in target_modalities:
-        raise ValueError("target modalities must differ from the source")
-    results = _ranked(index, query_vec, target_modalities, radius, top_k)
+    target = other_modality(source_modality)
+    results = _ranked(index, query_vec, target, radius, top_k)
     params = {"radius": radius} if radius is not None else {"top_k": top_k}
-    params["targets"] = list(target_modalities)
+    params["targets"] = [target]
     return Explanation("cross_modal", query_id, source_modality, results, params)
 
 

@@ -176,7 +176,6 @@ class SharedStage(Module):
 
 @dataclass
 class ForwardResult:
-    pre_rescale: dict      # modality -> (b, k) backbone outputs
     local: dict            # modality -> (b, k) local concepts
     shared: dict           # modality -> (b, t) shared concepts
     logits: np.ndarray     # (b, n_classes)
@@ -208,40 +207,36 @@ class SharedConceptModel(Module):
     # -- forward -------------------------------------------------------------
 
     def local_concepts(self, batch: Batch, mode: str, *, gumbel_rng=None,
-                       gumbel_mode=None, with_aux: bool = False) -> tuple[dict, dict]:
+                       gumbel_mode=None, with_aux: bool = False) -> dict:
         """with_aux appends each sample's cross-modal translation rendering as
         extra rows (2b per modality), giving the regularizer content-matched
         pairs under the same batch statistics."""
-        pre, local = {}, {}
+        local = {}
         for mod in MODALITIES:
             inputs = self.encoders[mod].inputs(batch, with_aux)
             z = self.encoders[mod].forward(*inputs, mode=mode, rng=gumbel_rng,
                                            gumbel_mode=gumbel_mode)
-            pre[mod] = z
             local[mod] = self.concept_stages[mod].forward(z, mode)
-        return pre, local
-
-    def shared_concepts(self, local_c: dict, mode: str) -> dict:
-        return self.shared_stage.forward(local_c, mode)
+        return local
 
     def predict(self, shared: dict) -> np.ndarray:
         return predict_side_by_side(self.predictor, shared)
 
     def forward(self, batch: Batch, mode: str, *, gumbel_rng=None,
                 gumbel_mode=None, with_aux: bool = False) -> ForwardResult:
-        pre, local = self.local_concepts(batch, mode, gumbel_rng=gumbel_rng,
-                                         gumbel_mode=gumbel_mode, with_aux=with_aux)
-        shared = self.shared_concepts(local, mode)
+        local = self.local_concepts(batch, mode, gumbel_rng=gumbel_rng,
+                                    gumbel_mode=gumbel_mode, with_aux=with_aux)
+        shared = self.shared_stage.forward(local, mode)
         b = len(batch)
         logits = self.predict({m: shared[m][:b] for m in MODALITIES})
         local_logits = {mod: head.forward(local[mod][:b])
                         for mod, head in self.local_heads.items()}
-        return ForwardResult(pre, local, shared, logits, local_logits)
+        return ForwardResult(local, shared, logits, local_logits)
 
     def index_spaces(self, batch: Batch) -> dict:
         """Eval-mode shared concepts; the space all explanations live in."""
-        _, local = self.local_concepts(batch, "eval")
-        return self.shared_concepts(local, "eval")
+        local = self.local_concepts(batch, "eval")
+        return self.shared_stage.forward(local, "eval")
 
     # -- backward ------------------------------------------------------------
 
@@ -278,12 +273,12 @@ class SharedConceptModel(Module):
     # -- parameter bookkeeping -------------------------------------------------
 
     def param_groups(self) -> dict:
-        groups = {f"encoder.{m}": self.encoders[m].params() for m in MODALITIES}
-        groups.update({f"projector.{m}": self.shared_stage.projectors[m].params()
+        groups = {f"encoder.{m}": self.encoders[m].parameters() for m in MODALITIES}
+        groups.update({f"projector.{m}": self.shared_stage.projectors[m].parameters()
                        for m in MODALITIES})
-        groups["predictor"] = self.predictor.params()
+        groups["predictor"] = self.predictor.parameters()
         for m, head in self.local_heads.items():
-            groups[f"local_head.{m}"] = head.params()
+            groups[f"local_head.{m}"] = head.parameters()
         return groups
 
 

@@ -54,10 +54,8 @@ class Module:
                     out[f"{module.name}.{attr}"] = value
         return out
 
-    def params(self) -> dict:
+    def parameters(self) -> dict:
         return self._arrays("param_names")
-
-    parameters = params
 
     def grads(self) -> dict:
         return self._arrays("param_names", prefix="d")
@@ -76,10 +74,15 @@ class Module:
 class Linear(Module):
     param_names = ("W", "b")
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, name: str):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, name: str,
+                 zero_bias: bool = False):
         self.name = name
         self.W = fan_in_uniform(rng, (n_in, n_out), n_in)
-        self.b = fan_in_uniform(rng, (n_out,), n_in)
+        # A conv bias is shared across nodes; at the node-concept logit layer a
+        # random bias makes every node argmax to the same concept at init,
+        # which can collapse the categorical head. Callers zero it there.
+        self.b = (np.zeros(n_out) if zero_bias
+                  else fan_in_uniform(rng, (n_out,), n_in))
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
         self._x = None
@@ -94,42 +97,21 @@ class Linear(Module):
         return g @ self.W.T
 
 
-class GraphConv(Module):
-    """Symmetric-normalized graph convolution on fixed-size node blocks.
-
-    forward: y = adj @ x @ W + b with adj of shape (b, N, N) already
-    degree-normalized with self-loops.
-    """
-
-    param_names = ("W", "b")
-
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, name: str,
-                 zero_bias: bool = False):
-        self.name = name
-        self.W = fan_in_uniform(rng, (n_in, n_out), n_in)
-        # A conv bias is shared across nodes; at the node-concept logit layer a
-        # random bias makes every node argmax to the same concept at init,
-        # which can collapse the categorical head. Callers zero it there.
-        self.b = (np.zeros(n_out) if zero_bias
-                  else fan_in_uniform(rng, (n_out,), n_in))
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
-        self._ax = None
-        self._adj = None
+class GraphConv(Linear):
+    """Symmetric-normalized graph convolution on fixed-size node blocks,
+    y = adj @ x @ W + b with adj (b, N, N) degree-normalized with self-loops:
+    a Linear over the (b * N) node rows of adj @ x."""
 
     def forward(self, x: np.ndarray, adj: np.ndarray) -> np.ndarray:
         self._adj = adj
-        self._ax = adj @ x
-        return self._ax @ self.W + self.b
+        ax = adj @ x
+        b, n, i = ax.shape
+        return super().forward(ax.reshape(b * n, i)).reshape(b, n, -1)
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        # every node of every graph is one row of a 2-D product
         b, n, o = g.shape
-        rows = g.reshape(-1, o)
-        self.dW += self._ax.reshape(-1, self.W.shape[0]).T @ rows
-        self.db += g.sum(axis=(0, 1))
         # adj is symmetric, so adj^T = adj
-        return self._adj @ (rows @ self.W.T).reshape(b, n, -1)
+        return self._adj @ super().backward(g.reshape(b * n, o)).reshape(b, n, -1)
 
 
 class LeakyReLU:
@@ -142,11 +124,6 @@ class LeakyReLU:
 
     def backward(self, g):
         return np.where(self._mask, g, self.slope * g)
-
-
-def ReLU() -> LeakyReLU:
-    """The plain rectifier: a LeakyReLU of slope 0."""
-    return LeakyReLU(0.0)
 
 
 class Sigmoid:
@@ -275,7 +252,7 @@ class MLP(Module):
                  rng: np.random.Generator, name: str):
         self.lin1 = Linear(n_in, n_hidden, rng, f"{name}.lin1")
         self.lin2 = Linear(n_hidden, n_out, rng, f"{name}.lin2")
-        self.act = ReLU()
+        self.act = LeakyReLU(0.0)
 
     def forward(self, x):
         return self.lin2.forward(self.act.forward(self.lin1.forward(x)))
@@ -289,13 +266,13 @@ class Adam:
     are one flat vector each, a slice per parameter name, so a step is a few
     whole-vector operations; the parameters stay separate arrays."""
 
-    def __init__(self, params: dict, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: dict, lr: float):
         self.params = params            # name -> array, updated in place
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         offsets = np.cumsum([0] + [v.size for v in params.values()])
         self.slices = dict(zip(params, map(slice, offsets[:-1], offsets[1:])))

@@ -55,23 +55,22 @@ def _bce_with_logits(logits: np.ndarray, targets: np.ndarray):
     return float(per.mean()), grad
 
 
-def semantic_regularizer(shared: dict, pairs=MODALITY_PAIRS,
-                         sample_idx: np.ndarray | None = None) -> float:
+def semantic_regularizer(shared: dict, sample_idx: np.ndarray | None = None) -> float:
     b = shared[MODALITIES[0]].shape[0]
     idx = np.arange(b) if sample_idx is None else np.asarray(sample_idx)
-    return _distance_with_grads(shared, pairs, idx, idx)[0]
+    return _distance_with_grads(shared, idx, idx)[0]
 
 
-def _distance_with_grads(shared: dict, pairs, rows_a: np.ndarray, rows_b: np.ndarray):
+def _distance_with_grads(shared: dict, rows_a: np.ndarray, rows_b: np.ndarray):
     """Mean Euclidean distance between row rows_a[k] of one modality and row
     rows_b[k] of the other, over (modality pair, k)."""
     grads = {m: np.zeros_like(shared[m]) for m in shared}
     if len(rows_a) == 0:
         warnings.warn("no samples drawn for the distance term; it contributes 0")
         return 0.0, grads
-    scale = 1.0 / (len(pairs) * len(rows_a))
+    scale = 1.0 / (len(MODALITY_PAIRS) * len(rows_a))
     total = 0.0
-    for mi, mq in pairs:
+    for mi, mq in MODALITY_PAIRS:
         diff = shared[mi][rows_a] - shared[mq][rows_b]
         dist = np.sqrt((diff * diff).sum(axis=1))
         total += dist.sum() * scale
@@ -134,8 +133,7 @@ def _total_loss_with_grads(result, batch: Batch, loss_cfg: LossConfig,
             # together points always describe one object.
             rows_a = np.concatenate([idx, b + idx])
             rows_b = np.concatenate([b + idx, idx])
-        reg, reg_grads = _distance_with_grads(result.shared, MODALITY_PAIRS,
-                                              rows_a, rows_b)
+        reg, reg_grads = _distance_with_grads(result.shared, rows_a, rows_b)
         d_shared = {m: loss_cfg.lam * g for m, g in reg_grads.items()}
     local = {}
     d_local = None
@@ -348,7 +346,7 @@ def _train_sequential(model, run: _Run):
     fprime = MLP(len(MODALITIES) * cfg.local_width, cfg.head_hidden, cfg.n_classes,
                  substream(cfg.seed, "misc"), "fprime")
     net = ConcatHeadModel(cfg, "fprime", model.encoders, model.concept_stages, fprime)
-    history = _fit_task(run, net, net.params(), "global", cfg.plan.epochs)
+    history = _fit_task(run, net, net.parameters(), "global", cfg.plan.epochs)
     # phase 2: encoders frozen (eval mode), shared stage + predictor train
     return history + _train_shared_phase(model, run, first_epoch=len(history))
 
@@ -360,7 +358,7 @@ def _train_local_pretrain(model, run: _Run):
     for m in MODALITIES:
         net = ConcatHeadModel(run.cfg, f"local_head.{m}", {m: model.encoders[m]},
                               {m: model.concept_stages[m]}, model.local_heads[m])
-        history += _fit_task(run, net, net.params(), m, run.cfg.plan.epochs,
+        history += _fit_task(run, net, net.parameters(), m, run.cfg.plan.epochs,
                              first_epoch=len(history))
     return history + _train_shared_phase(model, run, first_epoch=len(history))
 
@@ -369,17 +367,17 @@ def _train_shared_phase(model, run: _Run, first_epoch: int):
     """Common phase 2: frozen encoders in eval mode, shared stage training."""
 
     def step(batch):
-        _, local = model.local_concepts(batch, "eval", with_aux=True)
-        shared = model.shared_concepts(local, "train")
+        local = model.local_concepts(batch, "eval", with_aux=True)
+        shared = model.shared_stage.forward(local, "train")
         b = len(batch)
         logits = model.predict({m: shared[m][:b] for m in MODALITIES})
-        result = ForwardResult({}, local, shared, logits, {})
+        result = ForwardResult(local, shared, logits, {})
         breakdown, d_logits, d_shared, _ = _total_loss_with_grads(
             result, batch, run.cfg.loss, _draw(run, batch))
         model.backward(d_logits, d_shared, frozen_encoders=True)
         return _losses(breakdown)
 
-    params = {**model.shared_stage.params(), **model.predictor.params()}
+    params = {**model.shared_stage.parameters(), **model.predictor.parameters()}
     return _fit(run, params, model.grads(), step, run.cfg.plan.phase2_epochs,
                 lambda: (model.forward(run.test_batch, "eval").logits, run.test_batch.y),
                 first_epoch)

@@ -44,9 +44,9 @@ def test_backbone_parity_with_main_model(tiny):
     reference = SharedConceptModel(cfg, substream(cfg.seed, "init"))
     ref_shapes = {
         "graph": {k.split(".", 1)[1]: v.shape
-                  for k, v in reference.encoders["graph"].params().items()},
+                  for k, v in reference.encoders["graph"].parameters().items()},
         "tabular": {k.split(".", 1)[1]: v.shape
-                    for k, v in reference.encoders["tabular"].params().items()},
+                    for k, v in reference.encoders["tabular"].parameters().items()},
     }
     for kind in BASELINE_KINDS:
         model = build_baseline(kind, cfg)
@@ -57,7 +57,7 @@ def test_backbone_parity_with_main_model(tiny):
         else:
             encoders = {model.modality: model.encoder}
         for mod, enc in encoders.items():
-            shapes = {k.split(".", 1)[1]: v.shape for k, v in enc.params().items()}
+            shapes = {k.split(".", 1)[1]: v.shape for k, v in enc.parameters().items()}
             assert shapes == ref_shapes[mod], kind
 
 
@@ -126,7 +126,7 @@ def test_relative_phase_two_freezes_backbones(trained_relative):
     cfg, ds, model, _ = trained_relative
     before = {m: {k: v.copy() for k, v in model.unimodal[m].parameters().items()}
               for m in MODALITIES}
-    train_task_only(model, ds, cfg, epochs=3, trainable=model.head.params())
+    train_task_only(model, ds, cfg, epochs=3, trainable=model.head.parameters())
     for m in MODALITIES:
         for k, v in model.unimodal[m].parameters().items():
             assert np.array_equal(before[m][k], v)

@@ -485,10 +485,22 @@ def test_prototype_code_of_wrong_width_exits_5(workdir, tmp_path, capsys):
     (lambda d: d.update(rescale_momentum=0.0), "rescale_momentum"),
     (lambda d: d.update(rescale_eps=0.0), "rescale_eps"),
     (lambda d: d.update(version=2), "version"),
+    (lambda d: d.update(local_width=7.5), "local_width"),
+    (lambda d: d["plan"].update(batch_size=8.5), "batch_size"),
+    (lambda d: d.update(n_samples=40.5), "n_samples"),
+    (lambda d: d["plan"].update(epochs=True), "epochs"),
+    (lambda d: d["loss"].update(betas=[0, 0, 1]), "betas"),
+    (lambda d: d["plan"].update(learning_rate=float("nan")), "learning_rate"),
+    (lambda d: d.update(tau="1.0"), "tau"),
+    (lambda d: d["plan"].update(learning_rate=10 ** 400), "learning_rate"),
+    (lambda d: d.update(use_local_supervision="no"), "use_local_supervision"),
 ], ids=["invalid value", "invalid plan value", "unknown field", "plan not an object",
         "lam", "betas", "sample_fraction", "distance_filter", "epochs",
         "learning_rate", "batch_size", "split_ratio", "random_edge_max",
-        "bijection", "width", "tau", "rescale_momentum", "rescale_eps", "version"])
+        "bijection", "width", "tau", "rescale_momentum", "rescale_eps", "version",
+        "float width", "float batch_size", "float n_samples", "bool epochs",
+        "three betas", "NaN learning_rate", "string tau", "huge learning_rate",
+        "string use_local_supervision"])
 def test_invalid_config_file_exits_3(tmp_path, edit, named, capsys):
     # the base config is valid: 20 anchors fit in its 32 training samples
     doc = ExperimentConfig(n_samples=40, anchor_count=20).to_dict()
@@ -541,11 +553,29 @@ def test_malformed_json_dataset_exits_2(workdir, tmp_path):
                  "--dataset", str(bad)]) == 2
 
 
+def _record_1(**fields):
+    """An edit that replaces fields of the dataset's record 1."""
+    def edit(d):
+        d["samples"][1].update(fields)
+        return d
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: {"version": 1},
     lambda d: {**d, "n_samples": d["n_samples"] - 1},
     lambda d: {**d, "samples": d["samples"][:1] + d["samples"][:1] + d["samples"][2:]},
-], ids=["version only", "count differs from header", "repeated id"])
+    _record_1(features=["a"] + [0.0] * 9),
+    _record_1(edges=[[3, 8.5]]),
+    _record_1(features=[[0.1]] + [0.0] * 9),
+    _record_1(edges=[[False, 9]]),
+    _record_1(features=[float("nan")] + [0.0] * 9),
+    _record_1(features=[True] + [0.0] * 9),
+    _record_1(features=[10 ** 400] + [0.0] * 9),
+    _record_1(bits=[True, False, True, False, True, False]),
+], ids=["version only", "count differs from header", "repeated id",
+        "string feature", "float endpoint", "list feature", "bool endpoint",
+        "NaN feature", "bool feature", "huge feature", "bool bits"])
 def test_damaged_dataset_exits_2(workdir, tmp_path, edit, capsys):
     doc = json.loads(open(workdir["dataset"]).read())
     bad = tmp_path / "dataset.json"

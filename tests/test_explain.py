@@ -243,9 +243,6 @@ def test_exactly_one_mode_required(trained):
         cross_modal_retrieve(index, query, "tabular")
     with pytest.raises(ValueError):
         cross_modal_retrieve(index, query, "tabular", radius=0.5, top_k=3)
-    with pytest.raises(ValueError):
-        cross_modal_retrieve(index, query, "tabular",
-                             target_modalities=["tabular"], top_k=3)
 
 
 # -- substitution ------------------------------------------------------------------
@@ -357,15 +354,11 @@ def test_cross_modal_top_k_cut_inside_a_tie(top_k):
     assert expl.results == scan_ranked(index, CENTER, ["graph"], top_k)
 
 
-def test_cross_modal_ties_across_targets_rank_by_modality_name():
-    index = tied_index()
-    # a source outside the index lets both modalities be targets; the 0.25
-    # tie spans both, and the cut at 6 falls inside it
-    expl = cross_modal_retrieve(index, CENTER, "text",
-                                target_modalities=["tabular", "graph"], top_k=6)
-    assert expl.results == scan_ranked(index, CENTER, MODALITIES, 6) == [
-        (12, "tabular", 0.0), (2, "graph", 0.25), (4, "graph", 0.25),
-        (7, "graph", 0.25), (15, "graph", 0.25), (4, "tabular", 0.25)]
+@pytest.mark.parametrize("kw", [{"top_k": 0}, {"top_k": -1}, {"radius": -0.1}],
+                         ids=["top_k 0", "top_k -1", "negative radius"])
+def test_cross_modal_rejects_an_empty_top_k_or_a_negative_radius(kw):
+    with pytest.raises(ValueError):
+        cross_modal_retrieve(tied_index(), CENTER, "tabular", **kw)
 
 
 @pytest.mark.parametrize("radius, n_tabular", [(0.0, 0), (0.25, 1), (0.5, 4)])

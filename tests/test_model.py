@@ -133,22 +133,22 @@ def test_union_statistics_ignore_modality_attribution():
 
 
 def test_identical_projector_outputs_give_identical_shared(fresh_model, batch16):
-    _, local = fresh_model.local_concepts(batch16, "train",
-                                          gumbel_rng=np.random.default_rng(0))
+    local = fresh_model.local_concepts(batch16, "train",
+                                       gumbel_rng=np.random.default_rng(0))
     # route the same local concepts through one modality's projector twice
     proj = fresh_model.shared_stage.projectors
     proj["tabular"].lin1.W[...] = proj["graph"].lin1.W
     proj["tabular"].lin1.b[...] = proj["graph"].lin1.b
     proj["tabular"].lin2.W[...] = proj["graph"].lin2.W
     proj["tabular"].lin2.b[...] = proj["graph"].lin2.b
-    shared = fresh_model.shared_concepts(
+    shared = fresh_model.shared_stage.forward(
         {"graph": local["graph"], "tabular": local["graph"]}, "train")
     assert np.allclose(shared["graph"], shared["tabular"])
 
 
 def test_mismatched_batch_lengths_rejected(fresh_model):
     with pytest.raises(ValueError):
-        fresh_model.shared_concepts(
+        fresh_model.shared_stage.forward(
             {"graph": np.zeros((4, 7)), "tabular": np.zeros((5, 7))}, "train")
 
 

@@ -9,7 +9,7 @@ from conceptspace.nn import (
     LeakyReLU,
     Linear,
     MLP,
-    ReLU,
+    fan_in_uniform,
     one_hot_argmax,
     sigmoid,
     softmax,
@@ -120,7 +120,7 @@ def test_sigmoid_range_and_symmetry():
 
 def test_relu_and_leaky_backward():
     x = np.array([[-2.0, 3.0]])
-    relu = ReLU()
+    relu = LeakyReLU(0.0)
     assert np.array_equal(relu.forward(x), [[0.0, 3.0]])
     assert np.array_equal(relu.backward(np.ones_like(x)), [[0.0, 1.0]])
     leaky = LeakyReLU(0.1)
@@ -232,6 +232,32 @@ def _normalized_adjacency(b, n):
     return a * d[:, :, None] * d[:, None, :]
 
 
+def test_graph_conv_draws_the_parameters_of_a_linear():
+    conv = GraphConv(4, 3, np.random.default_rng(7), "c")
+    lin = Linear(4, 3, np.random.default_rng(7), "l")
+    assert np.array_equal(conv.W, lin.W) and np.array_equal(conv.b, lin.b)
+
+
+def test_zero_bias_skips_the_bias_draw():
+    conv_rng, lin_rng = np.random.default_rng(3), np.random.default_rng(3)
+    conv = GraphConv(4, 3, conv_rng, "c", zero_bias=True)
+    # the stream of a Linear that draws its weights and skips the bias
+    assert np.array_equal(conv.W, fan_in_uniform(lin_rng, (4, 3), 4))
+    assert np.array_equal(conv.b, np.zeros(3))
+    assert conv_rng.random() == lin_rng.random()
+
+
+def test_graph_conv_forward_is_a_linear_per_graph():
+    conv = GraphConv(4, 3, rng, "c")
+    x = rng.normal(size=(5, 6, 4))
+    adj = _normalized_adjacency(5, 6)
+    out = conv.forward(x, adj)
+    assert out.shape == (5, 6, 3)
+    for k in range(5):
+        np.testing.assert_allclose(out[k], adj[k] @ x[k] @ conv.W + conv.b,
+                                   rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("n_in, n_out", [(1, 30), (30, 30), (30, 7)])
 def test_graph_conv_backward_matches_finite_differences(n_in, n_out):
     conv = GraphConv(n_in, n_out, rng, "c")
@@ -341,5 +367,5 @@ def test_adam_minimizes_quadratic():
 
 def test_mlp_param_names_are_prefixed():
     mlp = MLP(3, 4, 2, rng, "head")
-    names = set(mlp.params())
+    names = set(mlp.parameters())
     assert names == {"head.lin1.W", "head.lin1.b", "head.lin2.W", "head.lin2.b"}

@@ -144,7 +144,7 @@ def test_draw_rejects_bad_fraction():
 def make_result(b=6):
     shared = {"graph": rng.uniform(size=(b, 8)), "tabular": rng.uniform(size=(b, 8))}
     logits = rng.normal(size=(b, 2))
-    return ForwardResult({}, {}, shared, logits, {})
+    return ForwardResult({}, shared, logits, {})
 
 
 def test_total_without_extras_equals_task_loss():
@@ -186,7 +186,7 @@ def test_translation_rows_use_content_matched_pairs():
     shared = {"graph": np.zeros((2 * b, 8)), "tabular": np.zeros((2 * b, 8))}
     shared["graph"][0, 0] = 1.0       # graph rendering of sample0's graph content
     shared["tabular"][b + 0, 0] = 1.0  # tabular rendering of the same content
-    result = ForwardResult({}, {}, shared, np.zeros((b, 2)), {})
+    result = ForwardResult({}, shared, np.zeros((b, 2)), {})
     batch = batch_of(b)
     breakdown, _, d_shared, _ = _total_loss_with_grads(
         result, batch, LossConfig(lam=1.0), np.arange(b))
@@ -287,7 +287,7 @@ def test_sequential_freezes_encoders(tiny_split):
         train(model, tiny_split, cfg)
         snap = {}
         for m in ("graph", "tabular"):
-            snap.update({k: v.copy() for k, v in model.encoders[m].params().items()})
+            snap.update({k: v.copy() for k, v in model.encoders[m].parameters().items()})
         encoder_params.append(snap)
     a, b = encoder_params
     assert all(np.array_equal(a[k], b[k]) for k in a)
