@@ -4,10 +4,12 @@ Exit codes: 0 success, 1 usage error (including a --workers below 1), 2 I/O
 failure or a malformed dataset file (e.g. a bit or an edge endpoint that is not
 an integer, or a node feature that is not a finite number), 3 configuration or
 model/regime mismatch (e.g. an integer field holding a fraction or a boolean,
-a number field that is not finite, or not one loss.betas weight per modality)
-or diverged training (a loss or test logit that is not finite), 4
-checkpoint/dataset mismatch, 5 explanation-domain error (e.g. a concept code
-no training sample carries).
+a number field that is not finite, or not one loss.betas weight per modality;
+loss.betas above 0 outside end_to_end; local_pretrain or loss.betas above 0
+without use_local_supervision) or diverged training (a loss or test logit
+that is not finite), 4 checkpoint/dataset mismatch (e.g. eval or explain on
+a checkpoint of an untrained model), 5 explanation-domain error (e.g. a
+concept code no training sample carries).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .explain import (
 )
 from .model import SharedConceptModel, load_model, save_model
 from .rng import substream
-from .training import save_history, train
+from .training import needs_local_heads, save_history, train
 
 MODEL_KINDS = ("shared",) + BASELINE_KINDS
 
@@ -102,10 +104,8 @@ def _train_one(cfg: ExperimentConfig, samples, kind: str):
     """Build, split and train one model; returns (model, split, history)."""
     ds = split(samples, cfg.split_ratio, cfg.seed)
     if kind == "shared":
-        needs_heads = (cfg.plan.regime == "local_pretrain"
-                       or any(b > 0 for b in cfg.loss.betas))
         model = SharedConceptModel(cfg, substream(cfg.seed, "init"),
-                                   with_local_heads=needs_heads)
+                                   with_local_heads=needs_local_heads(cfg))
         _, history = train(model, ds, cfg)
     elif kind in BASELINE_KINDS:
         if cfg.plan.regime != "end_to_end":
@@ -146,6 +146,9 @@ def cmd_train(args) -> int:
 
 def _load_pair(ckpt_path: str, dataset_path: str):
     model = load_model(ckpt_path)
+    if not model.trained:
+        raise CheckpointMismatchError(
+            f"checkpoint {ckpt_path} holds an untrained {model.kind} model")
     samples = _matching_dataset(dataset_path, model.config, CheckpointMismatchError)
     return model, split(samples, model.config.split_ratio, model.config.seed)
 

@@ -39,11 +39,11 @@ from .rng import substream
 CHECKPOINT_VERSION = 1
 
 
-class DenseEncoder(Module):
+class DenseEncoder(MLP):
     """Backbone for bit-string inputs."""
 
     def __init__(self, cfg: ExperimentConfig, rng, name: str):
-        self.mlp = MLP(N_BITS, cfg.dense_hidden, cfg.local_width, rng, name)
+        super().__init__(N_BITS, cfg.dense_hidden, cfg.local_width, rng, name)
 
     def inputs(self, batch: Batch, with_aux: bool = False):
         if with_aux:
@@ -53,10 +53,7 @@ class DenseEncoder(Module):
     def forward(self, x, mode: str = "train", rng=None, gumbel_mode=None):
         if x.ndim != 2 or x.shape[1] != N_BITS:
             raise ValueError(f"tabular input must be (b, {N_BITS})")
-        return self.mlp.forward(x)
-
-    def backward(self, g):
-        self.mlp.backward(g)
+        return super().forward(x)
 
 
 class GraphEncoder(Module):
@@ -174,114 +171,6 @@ class SharedStage(Module):
                 for i, m in enumerate(MODALITIES)}
 
 
-@dataclass
-class ForwardResult:
-    local: dict            # modality -> (b, k) local concepts
-    shared: dict           # modality -> (b, t) shared concepts
-    logits: np.ndarray     # (b, n_classes)
-    local_logits: dict     # modality -> (b, n_classes), empty if no local heads
-
-
-class SharedConceptModel(Module):
-    """Encoders, shared projectors and label predictor as one trainable unit."""
-
-    kind = "shared"
-    concept_based = True
-
-    def __init__(self, cfg: ExperimentConfig, rng, with_local_heads: bool = False):
-        cfg.validate()
-        self.config = cfg
-        self.encoders, self.concept_stages = fresh_encoders(cfg, rng)
-        self.shared_stage = SharedStage(cfg, rng)
-        self.predictor = MLP(len(MODALITIES) * cfg.shared_width, cfg.head_hidden,
-                             cfg.n_classes, rng, "predictor")
-        self.local_heads = {}
-        if with_local_heads:
-            self.local_heads = {
-                mod: MLP(cfg.local_width, cfg.head_hidden, cfg.n_classes,
-                         rng, f"local_head.{mod}")
-                for mod in MODALITIES
-            }
-        self.trained = False
-
-    # -- forward -------------------------------------------------------------
-
-    def local_concepts(self, batch: Batch, mode: str, *, gumbel_rng=None,
-                       gumbel_mode=None, with_aux: bool = False) -> dict:
-        """with_aux appends each sample's cross-modal translation rendering as
-        extra rows (2b per modality), giving the regularizer content-matched
-        pairs under the same batch statistics."""
-        local = {}
-        for mod in MODALITIES:
-            inputs = self.encoders[mod].inputs(batch, with_aux)
-            z = self.encoders[mod].forward(*inputs, mode=mode, rng=gumbel_rng,
-                                           gumbel_mode=gumbel_mode)
-            local[mod] = self.concept_stages[mod].forward(z, mode)
-        return local
-
-    def predict(self, shared: dict) -> np.ndarray:
-        return predict_side_by_side(self.predictor, shared)
-
-    def forward(self, batch: Batch, mode: str, *, gumbel_rng=None,
-                gumbel_mode=None, with_aux: bool = False) -> ForwardResult:
-        local = self.local_concepts(batch, mode, gumbel_rng=gumbel_rng,
-                                    gumbel_mode=gumbel_mode, with_aux=with_aux)
-        shared = self.shared_stage.forward(local, mode)
-        b = len(batch)
-        logits = self.predict({m: shared[m][:b] for m in MODALITIES})
-        local_logits = {mod: head.forward(local[mod][:b])
-                        for mod, head in self.local_heads.items()}
-        return ForwardResult(local, shared, logits, local_logits)
-
-    def index_spaces(self, batch: Batch) -> dict:
-        """Eval-mode shared concepts; the space all explanations live in."""
-        local = self.local_concepts(batch, "eval")
-        return self.shared_stage.forward(local, "eval")
-
-    # -- backward ------------------------------------------------------------
-
-    def backward(self, d_logits: np.ndarray, d_shared: dict | None = None,
-                 d_local_logits: dict | None = None,
-                 frozen_encoders: bool = False) -> None:
-        """Accumulate gradients. Extra terms enter at the shared concepts
-        (distance regularizer, over all rows including translation renderings)
-        and at the local heads (local losses, task rows only)."""
-        g_concat = self.predictor.backward(d_logits)
-        b = g_concat.shape[0]
-        rows = self.shared_stage.rows
-        t = self.config.shared_width
-        gs = {}
-        for i, m in enumerate(MODALITIES):
-            g = np.zeros((rows, t))
-            g[:b] = g_concat[:, i * t:(i + 1) * t]
-            gs[m] = g
-        if d_shared:
-            for m, extra in d_shared.items():
-                gs[m] += extra
-        gc = self.shared_stage.backward(gs)
-        if d_local_logits:
-            for m, g in d_local_logits.items():
-                gl = self.local_heads[m].backward(g)
-                gc[m] = gc[m].copy()
-                gc[m][:b] += gl
-        if frozen_encoders:
-            return
-        for mod in MODALITIES:
-            gz = self.concept_stages[mod].backward(gc[mod])
-            self.encoders[mod].backward(gz)
-
-    # -- parameter bookkeeping -------------------------------------------------
-
-    def param_groups(self) -> dict:
-        groups = {f"encoder.{m}": self.encoders[m].parameters() for m in MODALITIES}
-        groups.update({f"projector.{m}": self.shared_stage.projectors[m].parameters()
-                       for m in MODALITIES})
-        groups["predictor"] = self.predictor.parameters()
-        for m, head in self.local_heads.items():
-            groups[f"local_head.{m}"] = head.parameters()
-        return groups
-
-
 def predict_side_by_side(head, spaces: dict, modalities=MODALITIES) -> np.ndarray:
     """Logits of a head that reads the modalities' spaces side by side, in
     the order given; every one of them must be present."""
@@ -309,12 +198,16 @@ class ConcatHeadModel(Module):
         self.head = head
         self.trained = False
 
-    def embed(self, batch: Batch, mode: str, rng=None) -> dict:
-        """What the head reads for each modality: the encoder's output,
-        through that modality's concept stage when there are stages."""
+    def embed(self, batch: Batch, mode: str, rng=None, gumbel_mode=None,
+              with_aux: bool = False) -> dict:
+        """Each modality's encoder output, through its concept stage when there
+        are stages. with_aux appends each sample's cross-modal translation
+        rendering as extra rows (2b per modality), giving the regularizer
+        content-matched pairs under the same batch statistics."""
         out = {}
         for m, enc in self.encoders.items():
-            z = enc.forward(*enc.inputs(batch), mode=mode, rng=rng)
+            z = enc.forward(*enc.inputs(batch, with_aux), mode=mode, rng=rng,
+                            gumbel_mode=gumbel_mode)
             out[m] = self.stages[m].forward(z, mode) if self.stages else z
         return out
 
@@ -325,11 +218,105 @@ class ConcatHeadModel(Module):
         return self.predict(self.embed(batch, mode, rng))
 
     def backward(self, d_logits: np.ndarray) -> None:
+        self.backward_embed(self.backward_head(d_logits))
+
+    def backward_head(self, d_logits: np.ndarray) -> dict:
+        """The gradient of the head's input, split by modality."""
         g = self.head.backward(d_logits)
         k = g.shape[1] // len(self.encoders)
-        for i, (m, enc) in enumerate(self.encoders.items()):
-            g_m = g[:, i * k:(i + 1) * k]
-            enc.backward(self.stages[m].backward(g_m) if self.stages else g_m)
+        return {m: g[:, i * k:(i + 1) * k] for i, m in enumerate(self.encoders)}
+
+    def backward_embed(self, grads: dict) -> None:
+        """Accumulate the encoders' gradients from those of embed's outputs."""
+        for m, enc in self.encoders.items():
+            enc.backward(self.stages[m].backward(grads[m]) if self.stages else grads[m])
+
+
+@dataclass
+class ForwardResult:
+    local: dict            # modality -> (b, k) local concepts
+    shared: dict           # modality -> (b, t) shared concepts
+    logits: np.ndarray     # (b, n_classes)
+    local_logits: dict     # modality -> (b, n_classes), empty if no local heads
+
+
+class SharedConceptModel(ConcatHeadModel):
+    """Encoders, shared projectors and label predictor as one trainable unit:
+    a ConcatHeadModel whose head, the predictor, reads the shared concepts."""
+
+    kind = "shared"
+    concept_based = True
+
+    def __init__(self, cfg: ExperimentConfig, rng, with_local_heads: bool = False):
+        cfg.validate()
+        encoders, stages = fresh_encoders(cfg, rng)
+        self.shared_stage = SharedStage(cfg, rng)
+        super().__init__(cfg, self.kind, encoders, stages,
+                         MLP(len(MODALITIES) * cfg.shared_width, cfg.head_hidden,
+                             cfg.n_classes, rng, "predictor"))
+        self.local_heads = {}
+        if with_local_heads:
+            self.local_heads = {
+                mod: MLP(cfg.local_width, cfg.head_hidden, cfg.n_classes,
+                         rng, f"local_head.{mod}")
+                for mod in MODALITIES
+            }
+        self.frozen_encoders = False
+
+    # -- forward -------------------------------------------------------------
+
+    def forward(self, batch: Batch, mode: str, *, gumbel_rng=None,
+                gumbel_mode=None, with_aux: bool = False,
+                frozen_encoders: bool = False) -> ForwardResult:
+        """frozen_encoders runs the encoders and their concept stages in eval
+        mode, and the backward pass that follows stops short of them."""
+        self.frozen_encoders = frozen_encoders
+        local = self.embed(batch, "eval" if frozen_encoders else mode, gumbel_rng,
+                           gumbel_mode, with_aux)
+        shared = self.shared_stage.forward(local, mode)
+        b = len(batch)
+        logits = self.predict({m: shared[m][:b] for m in MODALITIES})
+        local_logits = {mod: head.forward(local[mod][:b])
+                        for mod, head in self.local_heads.items()}
+        return ForwardResult(local, shared, logits, local_logits)
+
+    def index_spaces(self, batch: Batch) -> dict:
+        """Eval-mode shared concepts; the space all explanations live in."""
+        return self.shared_stage.forward(self.embed(batch, "eval"), "eval")
+
+    # -- backward ------------------------------------------------------------
+
+    def backward(self, d_logits: np.ndarray, d_shared: dict | None = None,
+                 d_local_logits: dict | None = None) -> None:
+        """Accumulate gradients. Extra terms enter at the shared concepts
+        (distance regularizer, over all rows including translation renderings)
+        and at the local heads (local losses, task rows only)."""
+        b = d_logits.shape[0]
+        rows = self.shared_stage.rows
+        gs = {}
+        for m, g in self.backward_head(d_logits).items():
+            gs[m] = np.zeros((rows, g.shape[1]))
+            gs[m][:b] = g
+        if d_shared:
+            for m, extra in d_shared.items():
+                gs[m] += extra
+        gc = self.shared_stage.backward(gs)
+        if d_local_logits:
+            for m, g in d_local_logits.items():
+                gc[m][:b] += self.local_heads[m].backward(g)
+        if not self.frozen_encoders:
+            self.backward_embed(gc)
+
+    # -- parameter bookkeeping -------------------------------------------------
+
+    def param_groups(self) -> dict:
+        groups = {f"encoder.{m}": self.encoders[m].parameters() for m in MODALITIES}
+        groups.update({f"projector.{m}": self.shared_stage.projectors[m].parameters()
+                       for m in MODALITIES})
+        groups["predictor"] = self.head.parameters()
+        for m, head in self.local_heads.items():
+            groups[f"local_head.{m}"] = head.parameters()
+        return groups
 
 
 # -- checkpoints ---------------------------------------------------------------

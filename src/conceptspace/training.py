@@ -29,7 +29,7 @@ from .config import MODALITIES, ExperimentConfig, LossConfig
 from .data import Batch, DatasetSplit, as_arrays, batches, one_hot
 from .errors import ConfigurationError
 from .explain import concept_codes
-from .model import ConcatHeadModel, ForwardResult, SharedConceptModel, _model_blocks
+from .model import ConcatHeadModel, SharedConceptModel, _model_blocks
 from .nn import Adam, MLP, sigmoid
 from .rng import substream
 
@@ -210,24 +210,38 @@ def train(model: SharedConceptModel, split: DatasetSplit, cfg: ExperimentConfig)
     end_to_end leaves the model as it was at the end of the epoch with the
     highest code purity (see _code_purity_probe) on the training split, the
     latest such epoch on ties; history still has a row for every epoch.
+
+    Before any epoch, raises ConfigurationError for an unknown regime, for
+    local loss weights (loss.betas) outside end_to_end, and when local_pretrain
+    or local loss weights meet a config without use_local_supervision or a
+    model without local heads.
     """
-    if any(b > 0 for b in cfg.loss.betas) and not model.local_heads:
-        raise ConfigurationError("local loss weights require local heads")
-    regimes = {"end_to_end": _train_end_to_end, "sequential": _train_sequential,
-               "local_pretrain": _train_local_pretrain}
+    regimes = {"end_to_end": _train_end_to_end, "sequential": _train_two_phase,
+               "local_pretrain": _train_two_phase}
     regime = cfg.plan.regime
     if regime not in regimes:
         raise ConfigurationError(f"unknown regime {regime!r}")
-    if regime == "local_pretrain":
+    if any(b > 0 for b in cfg.loss.betas) and regime != "end_to_end":
+        # phase 2 of a two-phase regime trains no encoder and no local head
+        raise ConfigurationError(
+            f"loss.betas act only under plan.regime end_to_end, not {regime}")
+    if needs_local_heads(cfg):
+        field = "plan.regime local_pretrain" if regime == "local_pretrain" else "loss.betas"
         if not cfg.use_local_supervision:
             raise ConfigurationError(
-                "local_pretrain needs local supervision; this dataset withholds it "
+                f"{field} needs the local labels, which the dataset withholds "
                 "unless use_local_supervision is set")
         if not model.local_heads:
-            raise ConfigurationError("local_pretrain requires local heads")
+            raise ConfigurationError(f"{field} needs a model with local heads")
     history = regimes[regime](model, _start(split, cfg))
     model.trained = True
     return model, history
+
+
+def needs_local_heads(cfg: ExperimentConfig) -> bool:
+    """Whether training reads the local labels through local heads: under
+    local_pretrain, or with a local loss weight above 0."""
+    return cfg.plan.regime == "local_pretrain" or any(b > 0 for b in cfg.loss.betas)
 
 
 @dataclass
@@ -317,14 +331,6 @@ def _train_end_to_end(model, run: _Run):
                                       max(len(run.split.test), 1))
     best = {"purity": -1.0, "state": None}
 
-    def step(batch):
-        result = model.forward(batch, "train", gumbel_rng=run.gumbel_rng,
-                               with_aux=True)
-        breakdown, d_logits, d_shared, d_local = _total_loss_with_grads(
-            result, batch, run.cfg.loss, _draw(run, batch))
-        model.backward(d_logits, d_shared, d_local)
-        return _losses(breakdown)
-
     def evaluate():
         logits = model.forward(run.test_batch, "eval").logits
         purity = train_purity(model)
@@ -333,54 +339,56 @@ def _train_end_to_end(model, run: _Run):
             best["state"] = {name: arr.copy() for name, arr in _model_blocks(model)}
         return logits, run.test_batch.y
 
-    history = _fit(run, model.parameters(), model.grads(), step, run.cfg.plan.epochs,
+    history = _fit(run, model.parameters(), model.grads(),
+                   _shared_step(model, run, frozen_encoders=False), run.cfg.plan.epochs,
                    evaluate)
     for name, arr in _model_blocks(model):
         arr[...] = best["state"][name]
     return history
 
 
-def _train_sequential(model, run: _Run):
+def _train_two_phase(model, run: _Run):
+    """Phase 1 fits the encoders through task-only nets over them: for
+    sequential, one throwaway head on the concatenated local concepts against
+    the global labels; for local_pretrain, each modality's local head on that
+    modality's local labels, one modality after the other. Phase 2 freezes
+    the encoders (eval mode) and trains the shared stage and the predictor."""
     cfg = run.cfg
-    # phase 1: encoders + throwaway head on concatenated local concepts
-    fprime = MLP(len(MODALITIES) * cfg.local_width, cfg.head_hidden, cfg.n_classes,
-                 substream(cfg.seed, "misc"), "fprime")
-    net = ConcatHeadModel(cfg, "fprime", model.encoders, model.concept_stages, fprime)
-    history = _fit_task(run, net, net.parameters(), "global", cfg.plan.epochs)
-    # phase 2: encoders frozen (eval mode), shared stage + predictor train
-    return history + _train_shared_phase(model, run, first_epoch=len(history))
-
-
-def _train_local_pretrain(model, run: _Run):
-    """Phase 1 fits each modality's encoder and local head on that
-    modality's local labels, one modality after the other."""
+    if cfg.plan.regime == "sequential":
+        fprime = MLP(len(MODALITIES) * cfg.local_width, cfg.head_hidden, cfg.n_classes,
+                     substream(cfg.seed, "misc"), "fprime")
+        nets = {"global": ConcatHeadModel(cfg, "fprime", model.encoders, model.stages,
+                                          fprime)}
+    else:
+        nets = {m: ConcatHeadModel(cfg, f"local_head.{m}", {m: model.encoders[m]},
+                                   {m: model.stages[m]}, model.local_heads[m])
+                for m in MODALITIES}
     history = []
-    for m in MODALITIES:
-        net = ConcatHeadModel(run.cfg, f"local_head.{m}", {m: model.encoders[m]},
-                              {m: model.concept_stages[m]}, model.local_heads[m])
-        history += _fit_task(run, net, net.parameters(), m, run.cfg.plan.epochs,
+    for target, net in nets.items():
+        history += _fit_task(run, net, net.parameters(), target, cfg.plan.epochs,
                              first_epoch=len(history))
-    return history + _train_shared_phase(model, run, first_epoch=len(history))
+    params = {**model.shared_stage.parameters(), **model.head.parameters()}
+    return history + _fit(run, params, model.grads(),
+                          _shared_step(model, run, frozen_encoders=True),
+                          cfg.plan.phase2_epochs,
+                          lambda: (model.forward(run.test_batch, "eval").logits,
+                                   run.test_batch.y),
+                          first_epoch=len(history))
 
 
-def _train_shared_phase(model, run: _Run, first_epoch: int):
-    """Common phase 2: frozen encoders in eval mode, shared stage training."""
+def _shared_step(model, run: _Run, frozen_encoders: bool):
+    """The batch step of the shared model, in either phase: forward with
+    translation rows, the full objective, backward."""
 
     def step(batch):
-        local = model.local_concepts(batch, "eval", with_aux=True)
-        shared = model.shared_stage.forward(local, "train")
-        b = len(batch)
-        logits = model.predict({m: shared[m][:b] for m in MODALITIES})
-        result = ForwardResult(local, shared, logits, {})
-        breakdown, d_logits, d_shared, _ = _total_loss_with_grads(
+        result = model.forward(batch, "train", gumbel_rng=run.gumbel_rng, with_aux=True,
+                               frozen_encoders=frozen_encoders)
+        breakdown, d_logits, d_shared, d_local = _total_loss_with_grads(
             result, batch, run.cfg.loss, _draw(run, batch))
-        model.backward(d_logits, d_shared, frozen_encoders=True)
+        model.backward(d_logits, d_shared, d_local)
         return _losses(breakdown)
 
-    params = {**model.shared_stage.parameters(), **model.predictor.parameters()}
-    return _fit(run, params, model.grads(), step, run.cfg.plan.phase2_epochs,
-                lambda: (model.forward(run.test_batch, "eval").logits, run.test_batch.y),
-                first_epoch)
+    return step
 
 
 # -- task-only fits ----------------------------------------------------------------

@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from conceptspace.baselines import build_baseline
 from conceptspace.cli import main
-from conceptspace.config import ExperimentConfig, TrainPlan
+from conceptspace.config import ExperimentConfig, TrainPlan, load_config
 from conceptspace.data import load_dataset
+from conceptspace.model import SharedConceptModel, save_model
+from conceptspace.rng import substream
 
 
 def micro_config(tmp_path, **kw):
@@ -92,6 +95,25 @@ def test_train_local_pretrain_with_flag_succeeds(workdir, tmp_path):
                  "--regime", "local_pretrain", "--local-supervision"]) == 0
 
 
+@pytest.mark.parametrize("regime, flags, named", [
+    ("sequential", ["--local-supervision"], "plan.regime end_to_end"),
+    ("end_to_end", [], "use_local_supervision"),
+], ids=["local losses under sequential", "local losses without local supervision"])
+def test_train_local_losses_rejected_before_any_epoch(workdir, tmp_path, regime, flags,
+                                                      named, capsys):
+    doc = json.loads(open(workdir["config"]).read())
+    doc["loss"]["betas"] = [0.5, 0]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "--out", str(tmp_path / "run"), "train",
+                 "--dataset", workdir["dataset"], "--model", "shared",
+                 "--regime", regime, *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: loss.betas") and named in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_seed_mismatch_exits_3(workdir, tmp_path):
     assert main(["--config", workdir["config"], "--seed", "9",
                  "--out", str(tmp_path), "train",
@@ -162,6 +184,22 @@ def test_eval_mismatched_dataset_exits_4(workdir, tmp_path):
                  "--out", str(other), "generate"]) == 0
     assert main(["--out", str(tmp_path), "eval", "--checkpoint", workdir["ckpt"],
                  "--dataset", str(other)]) == 4
+
+
+@pytest.mark.parametrize("kind, command", [
+    ("shared", ["eval"]), ("shared", ["explain", "embedding"]), ("simple", ["eval"]),
+], ids=["shared eval", "shared explain embedding", "simple eval"])
+def test_untrained_checkpoint_exits_4(workdir, tmp_path, kind, command, capsys):
+    cfg = load_config(workdir["config"])
+    model = (SharedConceptModel(cfg, substream(cfg.seed, "init")) if kind == "shared"
+             else build_baseline(kind, cfg))
+    ckpt = tmp_path / f"{kind}.ckpt"
+    save_model(model, str(ckpt))
+    assert main(["--out", str(tmp_path / "out"), *command, "--checkpoint", str(ckpt),
+                 "--dataset", workdir["dataset"]]) == 4
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {ckpt} holds an untrained {kind} model\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_metric_subset(workdir, tmp_path):

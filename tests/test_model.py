@@ -133,8 +133,8 @@ def test_union_statistics_ignore_modality_attribution():
 
 
 def test_identical_projector_outputs_give_identical_shared(fresh_model, batch16):
-    local = fresh_model.local_concepts(batch16, "train",
-                                       gumbel_rng=np.random.default_rng(0))
+    local = fresh_model.embed(batch16, "train",
+                              rng=np.random.default_rng(0))
     # route the same local concepts through one modality's projector twice
     proj = fresh_model.shared_stage.projectors
     proj["tabular"].lin1.W[...] = proj["graph"].lin1.W
@@ -152,6 +152,33 @@ def test_mismatched_batch_lengths_rejected(fresh_model):
             {"graph": np.zeros((4, 7)), "tabular": np.zeros((5, 7))}, "train")
 
 
+def test_frozen_encoders_stop_the_backward_at_the_shared_stage(fresh_model, batch16):
+    train_forward(fresh_model, batch16)      # statistics for the eval-mode encoders
+    fresh_model.zero_grad()
+    stats = {k: (s.running_mean.copy(), s.running_var.copy())
+             for k, s in fresh_model.rescale_states().items()}
+    rng = np.random.default_rng(0)
+    drawn = rng.bit_generator.state
+    res = fresh_model.forward(batch16, "train", gumbel_rng=rng, with_aux=True,
+                              frozen_encoders=True)
+    noise = np.random.default_rng(1)
+    # the concept stages ran in eval mode: a backward through them would raise
+    fresh_model.backward(noise.normal(size=res.logits.shape),
+                         {m: noise.normal(size=res.shared[m].shape) for m in MODALITIES})
+    grads = fresh_model.grads()
+    assert all(not g.any() for k, g in grads.items() if k.startswith("enc."))
+    assert all(g.any() for k, g in grads.items() if k.startswith(("proj.", "predictor.")))
+    for k, s in fresh_model.rescale_states().items():
+        unchanged = (np.array_equal(s.running_mean, stats[k][0])
+                     and np.array_equal(s.running_var, stats[k][1]))
+        assert unchanged == k.startswith("local_rescale.")
+    assert rng.bit_generator.state == drawn
+    # a plain forward and backward afterwards reaches the encoders again
+    res = train_forward(fresh_model, batch16)
+    fresh_model.backward(noise.normal(size=res.logits.shape))
+    assert all(g.any() for k, g in fresh_model.grads().items() if k.startswith("enc."))
+
+
 # -- prediction --------------------------------------------------------------------
 
 def test_predict_requires_every_modality(fresh_model):
@@ -167,7 +194,7 @@ def test_concatenation_order_matters(fresh_model):
     b = fresh_model.predict(swapped)
     assert not np.allclose(a, b)
     # fixed ordering regression: graph block feeds the first half of the head
-    manual = fresh_model.predictor.forward(
+    manual = fresh_model.head.forward(
         np.concatenate([s["graph"], s["tabular"]], axis=1))
     assert np.array_equal(a, manual)
 

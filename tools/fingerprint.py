@@ -1,8 +1,10 @@
 """Print sha256 fingerprints of the artifacts every model kind produces.
 
-Ten jobs: the shared model under its three regimes and the seven baselines,
-at seed 0 with n_samples=300 and TrainPlan(epochs=4, phase2_epochs=4)
-(local_pretrain also sets use_local_supervision). Each job is built and
+Eleven jobs: the shared model under its three regimes, the shared model
+end to end with local losses (loss.betas (0.3, 0.3), named
+shared/end_to_end_local), and the seven baselines, at seed 0 with
+n_samples=300 and TrainPlan(epochs=4, phase2_epochs=4) (local_pretrain and
+the local-loss job also set use_local_supervision). Each job is built and
 trained by cli._train_one, then its checkpoint and history CSV are written
 and the checkpoint is reloaded and evaluated as `conceptspace eval` does.
 One line per job gives the sha256 of the checkpoint, the history CSV and the
@@ -74,9 +76,10 @@ from conceptspace.model import load_model, save_model
 from conceptspace.training import save_history
 
 FIXTURE = os.path.join(ROOT, "bench", "fixture", "shared_seed0.ckpt")
-JOBS = (("shared", "end_to_end"), ("shared", "sequential"),
-        ("shared", "local_pretrain"),
-        *((kind, "end_to_end") for kind in BASELINE_KINDS))
+# (kind, regime, loss.betas) of each trained job
+JOBS = (("shared", "end_to_end", (0.0, 0.0)), ("shared", "sequential", (0.0, 0.0)),
+        ("shared", "local_pretrain", (0.0, 0.0)), ("shared", "end_to_end", (0.3, 0.3)),
+        *((kind, "end_to_end", (0.0, 0.0)) for kind in BASELINE_KINDS))
 
 
 def _sha256(path: str) -> str:
@@ -84,15 +87,22 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def fingerprint(kind: str, regime: str, out_dir: str) -> tuple[str, str, str]:
+def job_name(kind: str, regime: str, betas: tuple) -> str:
+    return f"{kind}/{regime}" + ("_local" if any(betas) else "")
+
+
+def fingerprint(kind: str, regime: str, betas: tuple, out_dir: str) -> tuple[str, str, str]:
     base = ExperimentConfig(seed=0, n_samples=300,
                             plan=TrainPlan(epochs=4, phase2_epochs=4))
     cfg = base.with_overrides(plan=replace(base.plan, regime=regime),
-                              use_local_supervision=(regime == "local_pretrain"))
+                              loss=replace(base.loss, betas=betas),
+                              use_local_supervision=(regime == "local_pretrain"
+                                                     or any(betas)))
     model, ds, history = _train_one(cfg, _generate(cfg), kind)
-    ckpt = os.path.join(out_dir, f"{kind}_{regime}.ckpt")
-    csv_path = os.path.join(out_dir, f"{kind}_{regime}_history.csv")
-    report_path = os.path.join(out_dir, f"{kind}_{regime}_report.json")
+    stem = os.path.join(out_dir, job_name(kind, regime, betas).replace("/", "_"))
+    ckpt = f"{stem}.ckpt"
+    csv_path = f"{stem}_history.csv"
+    report_path = f"{stem}_report.json"
     save_model(model, ckpt)
     save_history(history, csv_path)
     _evaluate(load_model(ckpt), ds, cfg.hash()).save_json(report_path)
@@ -176,9 +186,8 @@ def fingerprint_queries(model, ds, index) -> str:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as out_dir:
-        for kind, regime in JOBS:
-            hashes = fingerprint(kind, regime, out_dir)
-            print(f"{kind}/{regime}", *hashes)
+        for kind, regime, betas in JOBS:
+            print(job_name(kind, regime, betas), *fingerprint(kind, regime, betas, out_dir))
         model = load_model(FIXTURE)
         ds = split(_generate(model.config), model.config.split_ratio, model.config.seed)
         index = build_index(model, ds.train)
