@@ -19,23 +19,14 @@ import numpy as np
 
 from .config import MODALITIES, ExperimentConfig
 from .data import Batch, DatasetSplit, translation_batch, whole_batch
-from .model import ConcatHeadModel, fresh_encoders, predict_side_by_side
-from .nn import MLP, Module
+from .errors import ConfigurationError
+from .model import ConcatHeadModel, fresh_encoders
+from .nn import MLP
 from .rng import substream
 from .training import train_task_only
 
 BASELINE_KINDS = ("mod_graph", "mod_tabular", "cbm_graph", "cbm_tabular",
                   "simple", "concept", "relative")
-
-
-def _concat_head_model(cfg, rng, kind, modalities, concepts: bool,
-                       head_name: str = "head", cls=ConcatHeadModel):
-    """Fresh encoders for `modalities`, each followed by a concept stage when
-    `concepts` is set, and then a head over their outputs."""
-    encoders, stages = fresh_encoders(cfg, rng, modalities, concepts)
-    head = MLP(len(modalities) * cfg.local_width, cfg.head_hidden, cfg.n_classes,
-               rng, head_name)
-    return cls(cfg, kind, encoders, stages, head)
 
 
 class ConceptMultimodalModel(ConcatHeadModel):
@@ -61,34 +52,30 @@ def relative_representation(embedding: np.ndarray, anchor_emb: np.ndarray) -> np
     return sims if embedding.ndim == 2 else sims[0]
 
 
-class RelativeModel(Module):
-    """Anchor-similarity method. Holds the two frozen unimodal models, the
-    anchor ids and embeddings, and the head trained on relative vectors.
-    The anchors are buffers: checkpointed, never trained."""
+class RelativeModel(ConcatHeadModel):
+    """Anchor-similarity method: the two plain backbones, each with a
+    unimodal head of its own for stage one, the anchor ids and embeddings,
+    and the head trained on relative vectors. The anchors are buffers:
+    checkpointed, never trained."""
 
     kind = name = "relative"
-    concept_based = False
     buffer_names = ("anchor_ids", "anchor_emb")
 
     def __init__(self, cfg, rng):
-        self.config = cfg
-        self.unimodal = {m: _concat_head_model(cfg, rng, f"mod_{m}", (m,), False,
-                                               head_name=f"head.{m}")
-                         for m in MODALITIES}
-        self.head = MLP(len(MODALITIES) * cfg.anchor_count, cfg.head_hidden,
-                        cfg.n_classes, rng, "rel_head")
+        encoders, heads = {}, {}
+        for m in MODALITIES:
+            encoders[m] = fresh_encoders(cfg, rng, (m,), concepts=False)[0][m]
+            heads[m] = MLP(cfg.local_width, cfg.head_hidden, cfg.n_classes, rng, f"head.{m}")
+        super().__init__(cfg, self.kind, encoders, {},
+                         MLP(len(MODALITIES) * cfg.anchor_count, cfg.head_hidden,
+                             cfg.n_classes, rng, "rel_head"))
+        self.unimodal_heads = heads
         self.anchor_ids = np.zeros(cfg.anchor_count)
         self.anchor_emb = {m: np.zeros((cfg.anchor_count, cfg.local_width))
                            for m in MODALITIES}
-        self.trained = False
-
-    @property
-    def encoders(self) -> dict:
-        """The backbones; a property, which the module walk does not visit."""
-        return {m: self.unimodal[m].encoders[m] for m in MODALITIES}
 
     def set_anchors(self, ids: np.ndarray, samples) -> None:
-        """Freeze anchor embeddings from the (already trained) unimodal models.
+        """Freeze anchor embeddings from the (already trained) backbones.
 
         Both modalities' coordinate a must reference the same content, so the
         tabular side embeds the anchor's graph content re-rendered as bits
@@ -99,17 +86,12 @@ class RelativeModel(Module):
         anchors = [by_id[int(i)] for i in ids]
         own = whole_batch(anchors, self.config.bijection)
         translated = translation_batch(anchors, packed=own)
-        self.anchor_emb["graph"][...] = self.unimodal["graph"].embed(own, "eval")["graph"]
-        self.anchor_emb["tabular"][...] = self.unimodal["tabular"].embed(
-            translated, "eval")["tabular"]
+        for m, batch in (("graph", own), ("tabular", translated)):
+            self.anchor_emb[m][...] = self.embed(batch, "eval")[m]
 
     def index_spaces(self, batch: Batch) -> dict:
-        return {m: relative_representation(self.unimodal[m].embed(batch, "eval")[m],
-                                           self.anchor_emb[m])
-                for m in MODALITIES}
-
-    def predict(self, spaces: dict) -> np.ndarray:
-        return predict_side_by_side(self.head, spaces)
+        return {m: relative_representation(z, self.anchor_emb[m])
+                for m, z in self.embed(batch, "eval").items()}
 
     def forward(self, batch: Batch, mode: str, rng=None):
         # backbones stay frozen: embeddings always computed in eval mode
@@ -127,25 +109,35 @@ def build_baseline(kind: str, cfg: ExperimentConfig, rng=None):
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
     family, _, modality = kind.partition("_")
-    return _concat_head_model(
-        cfg, rng, kind, (modality,) if modality else MODALITIES,
-        concepts=family in ("cbm", "concept"),
-        cls=ConceptMultimodalModel if kind == "concept" else ConcatHeadModel)
+    modalities = (modality,) if modality else MODALITIES
+    encoders, stages = fresh_encoders(cfg, rng, modalities, family in ("cbm", "concept"))
+    head = MLP(len(modalities) * cfg.local_width, cfg.head_hidden, cfg.n_classes, rng, "head")
+    cls = ConceptMultimodalModel if kind == "concept" else ConcatHeadModel
+    return cls(cfg, kind, encoders, stages, head)
 
 
 def train_baseline(model, split: DatasetSplit, cfg: ExperimentConfig):
-    """Fit a baseline; the relative model runs its two stages here."""
+    """Fit a baseline; the relative model runs its two stages here. Before
+    any epoch, raises ConfigurationError for a regime other than end_to_end
+    and for local loss weights (loss.betas), which only the shared model's
+    local heads can take."""
+    if cfg.plan.regime != "end_to_end":
+        raise ConfigurationError(f"baseline {model.kind} supports only end_to_end")
+    if any(b > 0 for b in cfg.loss.betas):
+        raise ConfigurationError(
+            f"loss.betas act only on the shared model's local heads, not on baseline "
+            f"{model.kind}")
     if not isinstance(model, RelativeModel):
         return train_task_only(model, split, cfg, cfg.plan.epochs)
 
     history = []
     for m in MODALITIES:
-        history += train_task_only(model.unimodal[m], split, cfg, cfg.plan.epochs)
+        history += train_task_only(
+            ConcatHeadModel(cfg, f"mod_{m}", {m: model.encoders[m]}, {},
+                            model.unimodal_heads[m]),
+            split, cfg, cfg.plan.epochs)
     anchor_rng = substream(cfg.seed, "anchors")
     train_ids = np.array(sorted(s.id for s in split.train))
     ids = np.sort(anchor_rng.choice(train_ids, size=cfg.anchor_count, replace=False))
     model.set_anchors(ids, split.train)
-    history += train_task_only(model, split, cfg, cfg.plan.phase2_epochs,
-                               trainable=model.head.parameters())
-    model.trained = True
-    return history
+    return history + train_task_only(model, split, cfg, cfg.plan.phase2_epochs)

@@ -84,7 +84,7 @@ class TrainPlan:
 
     regime: str = "end_to_end"
     epochs: int = 150                 # single phase, or phase 1 of two-phase regimes
-    phase2_epochs: int = 150          # ignored by end_to_end
+    phase2_epochs: int = 150          # phase 2; also the relative model's head stage
     learning_rate: float = 1e-3
     batch_size: int = 64
 

@@ -171,22 +171,12 @@ class SharedStage(Module):
                 for i, m in enumerate(MODALITIES)}
 
 
-def predict_side_by_side(head, spaces: dict, modalities=MODALITIES) -> np.ndarray:
-    """Logits of a head that reads the modalities' spaces side by side, in
-    the order given; every one of them must be present."""
-    missing = [m for m in modalities if m not in spaces]
-    if missing:
-        raise ValueError(f"missing modalities {missing}; substitute them first")
-    return head.forward(np.concatenate([spaces[m] for m in modalities], axis=1))
-
-
 class ConcatHeadModel(Module):
     """Encoders, each followed by its concept stage when stages are given,
     and one head reading their outputs side by side in the encoders' order.
 
-    Every baseline but the relative model is one of these, and so are the
-    task-only nets that the two-phase regimes fit in phase 1 over the shared
-    model's own encoders.
+    Every baseline is one of these, and so are the task-only nets that the
+    two-phase regimes fit in phase 1 over the shared model's own encoders.
     """
 
     def __init__(self, cfg: ExperimentConfig, kind: str, encoders: dict,
@@ -212,7 +202,12 @@ class ConcatHeadModel(Module):
         return out
 
     def predict(self, spaces: dict) -> np.ndarray:
-        return predict_side_by_side(self.head, spaces, tuple(self.encoders))
+        """The head's logits over the spaces side by side, in the encoders'
+        order; every encoder's modality must be present."""
+        missing = [m for m in self.encoders if m not in spaces]
+        if missing:
+            raise ValueError(f"missing modalities {missing}; substitute them first")
+        return self.head.forward(np.concatenate([spaces[m] for m in self.encoders], axis=1))
 
     def forward(self, batch: Batch, mode: str, rng=None) -> np.ndarray:
         return self.predict(self.embed(batch, mode, rng))

@@ -269,20 +269,22 @@ HISTORY_COLUMNS = ("epoch", "task_loss", "reg_loss", "local_loss_graph",
                    "local_loss_tabular", "test_accuracy")
 
 
-def _fit(run: _Run, params: dict, grads: dict, step, epochs: int, evaluate,
-         first_epoch: int = 0) -> list[dict]:
+def _fit(run: _Run, net, step, epochs: int, evaluate, first_epoch: int = 0) -> list[dict]:
     """The epoch loop of every regime and phase.
 
-    Per batch of a shuffled pass over the training split: zero `grads`, call
-    step(batch), which runs forward, loss and backward and returns this
-    batch's losses by history column, then take an Adam step on `params`.
+    Per batch of a shuffled pass over the training split: zero net's
+    gradients, call step(batch), which runs forward, loss and backward and
+    returns this batch's losses by history column, then take an Adam step on
+    every parameter of net. Adam's moments start at zero, so a part of net
+    that the backward never reaches (a frozen part) keeps its exact values.
     After each epoch, evaluate() gives the test split's logits and labels,
     whose accuracy goes into the history row with the epoch's mean batch
     losses. A loss or test logit that is not finite raises ConfigurationError:
     the run has diverged, e.g. under too large a learning rate. That error
     reports a divergence, so numpy's floating-point warnings are off here.
     """
-    opt = Adam(params, run.cfg.plan.learning_rate)
+    opt = Adam(net.parameters(), run.cfg.plan.learning_rate)
+    grads = net.grads()
     history = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(first_epoch, first_epoch + epochs):
@@ -339,9 +341,8 @@ def _train_end_to_end(model, run: _Run):
             best["state"] = {name: arr.copy() for name, arr in _model_blocks(model)}
         return logits, run.test_batch.y
 
-    history = _fit(run, model.parameters(), model.grads(),
-                   _shared_step(model, run, frozen_encoders=False), run.cfg.plan.epochs,
-                   evaluate)
+    history = _fit(run, model, _shared_step(model, run, frozen_encoders=False),
+                   run.cfg.plan.epochs, evaluate)
     for name, arr in _model_blocks(model):
         arr[...] = best["state"][name]
     return history
@@ -365,11 +366,8 @@ def _train_two_phase(model, run: _Run):
                 for m in MODALITIES}
     history = []
     for target, net in nets.items():
-        history += _fit_task(run, net, net.parameters(), target, cfg.plan.epochs,
-                             first_epoch=len(history))
-    params = {**model.shared_stage.parameters(), **model.head.parameters()}
-    return history + _fit(run, params, model.grads(),
-                          _shared_step(model, run, frozen_encoders=True),
+        history += _fit_task(run, net, target, cfg.plan.epochs, first_epoch=len(history))
+    return history + _fit(run, model, _shared_step(model, run, frozen_encoders=True),
                           cfg.plan.phase2_epochs,
                           lambda: (model.forward(run.test_batch, "eval").logits,
                                    run.test_batch.y),
@@ -393,12 +391,11 @@ def _shared_step(model, run: _Run, frozen_encoders: bool):
 
 # -- task-only fits ----------------------------------------------------------------
 
-def _fit_task(run: _Run, net, params: dict, target: str, epochs: int,
-              first_epoch: int = 0) -> list[dict]:
+def _fit_task(run: _Run, net, target: str, epochs: int, first_epoch: int = 0) -> list[dict]:
     """Fit net (forward(batch, mode, rng) -> logits, backward(d_logits)) on
     plain cross-entropy against the global labels (target "global", logged
     as task_loss) or one modality's local labels (logged as
-    local_loss_<modality>). Only `params` take Adam steps."""
+    local_loss_<modality>)."""
     column = "task_loss" if target == "global" else f"local_loss_{target}"
 
     def labels(batch):
@@ -410,19 +407,16 @@ def _fit_task(run: _Run, net, params: dict, target: str, epochs: int,
         net.backward(d_logits)
         return {column: value}
 
-    return _fit(run, params, net.grads(), step, epochs,
+    return _fit(run, net, step, epochs,
                 lambda: (net.forward(run.test_batch, "eval"), labels(run.test_batch)),
                 first_epoch)
 
 
-def train_task_only(model_like, split: DatasetSplit, cfg: ExperimentConfig,
-                    epochs: int, trainable: dict | None = None):
+def train_task_only(model_like, split: DatasetSplit, cfg: ExperimentConfig, epochs: int):
     """Fit any model exposing forward(batch, mode, rng)->logits and
     backward(d_logits) on plain cross-entropy against the global labels,
-    with random substreams of its own; only `trainable` (default: every
-    parameter) takes Adam steps."""
-    params = trainable if trainable is not None else model_like.parameters()
-    history = _fit_task(_start(split, cfg), model_like, params, "global", epochs)
+    with random substreams of its own."""
+    history = _fit_task(_start(split, cfg), model_like, "global", epochs)
     model_like.trained = True
     return history
 

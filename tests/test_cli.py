@@ -114,6 +114,23 @@ def test_train_local_losses_rejected_before_any_epoch(workdir, tmp_path, regime,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("model", ["simple", "relative"])
+@pytest.mark.parametrize("flags", [[], ["--local-supervision"]],
+                         ids=["without local supervision", "with local supervision"])
+def test_baseline_local_losses_rejected_before_any_epoch(workdir, tmp_path, model, flags,
+                                                         capsys):
+    doc = json.loads(open(workdir["config"]).read())
+    doc["loss"]["betas"] = [0.5, 0]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "--out", str(tmp_path / "run"), "train",
+                 "--dataset", workdir["dataset"], "--model", model, *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: loss.betas") and model in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_seed_mismatch_exits_3(workdir, tmp_path):
     assert main(["--config", workdir["config"], "--seed", "9",
                  "--out", str(tmp_path), "train",
@@ -348,11 +365,12 @@ def test_explain_embedding_csv(workdir, tmp_path):
 def test_reproduce_composes_the_other_commands(tmp_path, capsys):
     cfg_path = micro_config(tmp_path, n_samples=80)
     out = tmp_path / "rep"
+    # one seed cannot give the completeness line its 4 wins: overall FAIL
     assert main(["--config", cfg_path, "--out", str(out), "reproduce",
-                 "--seeds", "0"]) == 0
+                 "--seeds", "0"]) == 6
     printed = capsys.readouterr().out
     assert "shared" in printed and "relative" in printed
-    assert "PASS" in printed or "FAIL" in printed
+    assert "overall: FAIL" in printed
     doc = json.loads((out / "reproduce_results.json").read_text())
     assert doc["seeds"] == [0]
     assert set(doc["reports"]) == {"shared", "mod_graph", "mod_tabular",
@@ -371,22 +389,55 @@ def test_reproduce_parallel_workers_match_serial(tmp_path, capsys):
     cfg_path = micro_config(tmp_path, n_samples=60, anchor_count=20)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     assert main(["--config", cfg_path, "--out", str(serial), "reproduce",
-                 "--seeds", "0,1"]) == 0
+                 "--seeds", "0,1"]) == 6
+    assert "overall: FAIL" in capsys.readouterr().out
     assert main(["--config", cfg_path, "--out", str(parallel), "--workers", "2",
-                 "reproduce", "--seeds", "0,1"]) == 0
+                 "reproduce", "--seeds", "0,1"]) == 6
+    assert "overall: FAIL" in capsys.readouterr().out
     a = json.loads((serial / "reproduce_results.json").read_text())
     b = json.loads((parallel / "reproduce_results.json").read_text())
     assert a == b
+
+
+def _report(acc, compl=None, miss=(None, None), retr=None):
+    """One evaluation report as reproduce reads it."""
+    return {"accuracy": acc, "completeness": compl,
+            "missing_modality": {"graph": miss[0], "tabular": miss[1]},
+            "retrieval_label_match_mean": retr}
+
+
+def test_reproduce_exit_code_follows_the_verdict(tmp_path, monkeypatch, capsys):
+    def passing_job(cfg_dict, kind, seed):
+        if kind == "shared":
+            return _report(0.99, 0.99, (0.99, 0.99), 0.99)
+        if kind == "concept":
+            return _report(0.98, 0.95, (0.9, 0.8), 0.8)
+        if kind == "relative":
+            return _report(0.98, miss=(0.8, None))
+        return _report(0.98 if kind == "simple" else 0.75)
+
+    def failing_job(cfg_dict, kind, seed):
+        # the concept baseline wins completeness in two of five seeds
+        if kind == "concept" and seed < 2:
+            return _report(0.98, 1.0, (0.9, 0.8), 0.8)
+        return passing_job(cfg_dict, kind, seed)
+
+    for job, code, verdict in ((passing_job, 0, "PASS"), (failing_job, 6, "FAIL")):
+        monkeypatch.setattr("conceptspace.cli._reproduce_job", job)
+        out = tmp_path / verdict
+        assert main(["--out", str(out), "reproduce", "--seeds", "0,1,2,3,4"]) == code
+        printed = capsys.readouterr().out
+        assert f"overall: {verdict}" in printed
+        assert json.loads((out / "reproduce_results.json").read_text())["seeds"] == [
+            0, 1, 2, 3, 4]
 
 
 def _one_seed_reports(shared, capped_acc, floored_acc, relative_miss_graph):
     """reproduce's by-kind reports for one seed: the concept baseline ties the
     shared model, the four kinds capped at 0.80 share `capped_acc`, and
     simple and relative share `floored_acc`."""
-    def report(acc, compl=None, miss=(None, None), retr=None):
-        return [{"accuracy": acc, "completeness": compl,
-                 "missing_modality": {"graph": miss[0], "tabular": miss[1]},
-                 "retrieval_label_match_mean": retr}]
+    def report(*args, **kw):
+        return [_report(*args, **kw)]
     acc, compl, miss_graph, miss_tab, retr = shared
     both = report(acc, compl, (miss_graph, miss_tab), retr)
     return {"shared": both, "concept": both,
@@ -483,8 +534,9 @@ def test_bad_option_value_is_a_usage_error(workdir, tmp_path, args, capsys):
 
 
 def test_bad_seed_list_is_a_usage_error(tmp_path, capsys):
-    assert main(["--out", str(tmp_path), "reproduce", "--seeds", "0,x"]) == 1
-    assert "'0,x'" in capsys.readouterr().err
+    for seeds in ("0,x", "0,0"):
+        assert main(["--out", str(tmp_path), "reproduce", "--seeds", seeds]) == 1
+        assert f"'{seeds}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -8,6 +8,7 @@ from conceptspace.data import generate_xor_and_xor, split, whole_batch
 from conceptspace.errors import ConfigurationError
 from conceptspace.evaluation import model_codes
 from conceptspace.model import ForwardResult, SharedConceptModel
+from conceptspace.nn import Module
 from conceptspace.rng import substream
 from conceptspace.training import (
     HISTORY_COLUMNS,
@@ -273,21 +274,24 @@ def test_non_finite_test_logits_stop_training(tiny_split):
         return np.array([[0.0, 1.0], [np.inf, 0.0]]), np.array([1, 0])
 
     with pytest.raises(ConfigurationError, match="epoch 3: the test logits"):
-        _fit(_start(tiny_split, tiny_cfg()), {}, {}, lambda batch: {"task_loss": 0.5},
+        _fit(_start(tiny_split, tiny_cfg()), Module(), lambda batch: {"task_loss": 0.5},
              2, evaluate, first_epoch=3)
 
 
-def test_sequential_freezes_encoders(tiny_split):
-    # encoders end phase 1 identically regardless of how long phase 2 runs
+@pytest.mark.parametrize("regime", ["sequential", "local_pretrain"])
+def test_sequential_freezes_encoders(tiny_split, regime):
+    # encoders (and local heads) end phase 1 identically regardless of how
+    # long phase 2 runs
+    local = regime == "local_pretrain"
     encoder_params = []
     for phase2 in (1, 10):
-        cfg = tiny_cfg(epochs=8, phase2_epochs=phase2)
-        cfg.plan.regime = "sequential"
-        model = SharedConceptModel(cfg, substream(cfg.seed, "init"))
+        cfg = tiny_cfg(epochs=8, phase2_epochs=phase2, use_local_supervision=local)
+        cfg.plan.regime = regime
+        model = SharedConceptModel(cfg, substream(cfg.seed, "init"), with_local_heads=local)
         train(model, tiny_split, cfg)
         snap = {}
-        for m in ("graph", "tabular"):
-            snap.update({k: v.copy() for k, v in model.encoders[m].parameters().items()})
+        for part in [*model.encoders.values(), *model.local_heads.values()]:
+            snap.update({k: v.copy() for k, v in part.parameters().items()})
         encoder_params.append(snap)
     a, b = encoder_params
     assert all(np.array_equal(a[k], b[k]) for k in a)
