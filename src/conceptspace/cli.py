@@ -3,17 +3,18 @@
 Exit codes: 0 success, 1 usage error (including a --workers below 1 or a
 repeated seed in reproduce --seeds), 2 I/O failure or a malformed dataset
 file (e.g. a bit or an edge endpoint that is not an integer, or a node
-feature that is not a finite number), 3 configuration or
-model/regime mismatch (e.g. an integer field holding a fraction or a boolean,
-a number field that is not finite, or not one loss.betas weight per modality;
-loss.betas above 0 outside end_to_end or on a baseline; local_pretrain or
-loss.betas above 0 without use_local_supervision) or diverged training (a
-loss or test logit that is not finite), 4 checkpoint/dataset mismatch (e.g.
-eval or explain on a checkpoint of an untrained model), 5 explanation-domain
-error (e.g. a concept code no training sample carries), 6 a reproduce run
-whose overall verdict is FAIL, after it has written its table, its lines and
-reproduce_results.json. A seed list shorter than 4 always fails, because the
-completeness line needs 4 wins.
+feature that is not a finite number), 3 configuration or model/regime
+mismatch (e.g. an integer field holding a fraction or a boolean, a number
+field that is not finite, a string field holding something else, or not one
+loss.betas weight per modality; loss.betas above 0 outside end_to_end or on
+a baseline; local_pretrain or loss.betas above 0 without
+use_local_supervision) or diverged training (a loss or test logit that is
+not finite), 4 checkpoint/dataset mismatch (e.g. a checkpoint manifest that
+is not a JSON object, or eval or explain on a checkpoint of an untrained
+model), 5 explanation-domain error (e.g. a concept code no training sample
+carries), 6 a reproduce run whose overall verdict is FAIL, after it has
+written its table, its lines and reproduce_results.json. A seed list shorter
+than 4 always fails, because the completeness line needs 4 wins.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from math import inf
 import numpy as np
 
 from .baselines import BASELINE_KINDS, build_baseline, train_baseline
-from .config import MODALITIES, ExperimentConfig, load_config, other_modality
+from .config import MODALITIES, REGIMES, ExperimentConfig, load_config, other_modality
 from .data import generate_xor_and_xor, load_dataset, save_dataset, split
 from .errors import (
     CheckpointMismatchError,
@@ -359,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model on a dataset")
     p_train.add_argument("--dataset", required=True)
     p_train.add_argument("--model", required=True, choices=MODEL_KINDS)
-    p_train.add_argument("--regime", choices=("end_to_end", "sequential",
-                                              "local_pretrain"))
+    p_train.add_argument("--regime", choices=REGIMES)
     p_train.add_argument("--local-supervision", action="store_true",
                          help="expose local labels (off by default)")
 

@@ -43,8 +43,8 @@ def is_finite_real(value) -> bool:
 
 def _check_types(record) -> None:
     """Every int field of a config dataclass holds an integer, every float
-    field a finite real number (an integer will do) and every bool field a
-    bool."""
+    field a finite real number (an integer will do), every bool field a bool
+    and every str field a string."""
     for f in fields(record):
         value = getattr(record, f.name)
         if f.type == "bool" and not isinstance(value, bool):
@@ -53,6 +53,8 @@ def _check_types(record) -> None:
             raise ValueError(f"{f.name} must be an integer, not {value!r}")
         if f.type == "float" and not is_finite_real(value):
             raise ValueError(f"{f.name} must be a finite number, not {value!r}")
+        if f.type == "str" and not isinstance(value, str):
+            raise ValueError(f"{f.name} must be a string, not {value!r}")
 
 
 @dataclass

@@ -364,32 +364,23 @@ def as_arrays(samples, bijection: str = "default", with_aux: bool = True) -> Bat
                    aux_tab_x=aux_tab_x)
 
 
-def batches(samples, batch_size: int, *, rng=None, shuffle: bool = False,
-            drop_singleton: bool = False, packed: Batch | None = None,
-            bijection: str = "default") -> list[Batch]:
-    """Partition samples into batches, in list order unless shuffled, taking
-    them from `packed` (as_arrays of the samples) when it is given.
+def batches(packed: Batch, batch_size: int,
+            rng: np.random.Generator | None = None) -> list[Batch]:
+    """Cut `packed` into batches of batch_size rows, in row order.
 
-    Training passes drop_singleton=True: a trailing batch of one sample is
-    dropped because batch standardization is degenerate there. Evaluation
-    batches may have any size (inference runs on running statistics).
+    Given rng, a training pass: the rows go in rng.permutation order and a
+    trailing batch of one row is dropped, because batch standardization is
+    degenerate there. Without it every batch is kept (inference runs on
+    running statistics).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    if packed is None:
-        packed = as_arrays(samples, bijection)
     n = len(packed)
-    order = np.arange(n)
-    if shuffle:
-        if rng is None:
-            raise ValueError("shuffle requires an rng (seed or Generator)")
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        order = rng.permutation(n)
+    order = np.arange(n) if rng is None else rng.permutation(n)
     out = []
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
-        if drop_singleton and len(idx) == 1:
+        if rng is not None and len(idx) == 1:
             continue
         out.append(packed.take(idx))
     return out
@@ -408,8 +399,10 @@ def translation_batch(samples, bijection: str = "default",
     Encoding it yields the auxiliary representations used when a modality is
     missing. Given `packed` (as_arrays of the samples, with the aux rows), it
     shares that batch's arrays; translating a translation gives the fields
-    back."""
+    back. Raises ValueError when `packed` has no aux rows."""
     b = packed if packed is not None else as_arrays(samples, bijection)
+    if b.aux_graph_x is None:
+        raise ValueError("translation_batch needs a batch packed with its aux rows")
     return replace(b, graph_x=b.aux_graph_x, aux_graph_x=b.graph_x,
                    graph_adj=b.aux_graph_adj, aux_graph_adj=b.graph_adj,
                    tab_x=b.aux_tab_x, aux_tab_x=b.tab_x)

@@ -360,6 +360,8 @@ def _read_checkpoint(path: str) -> tuple[dict, bytes]:
         manifest = json.loads(raw[8:8 + mlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointMismatchError(f"checkpoint manifest is unreadable: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointMismatchError(f"checkpoint {path}'s manifest is not an object")
     return manifest, raw[8 + mlen:]
 
 

@@ -1,9 +1,10 @@
 """Named random substreams derived from a single root seed.
 
 Every source of randomness in the library (data generation, parameter init,
-batch shuffling, categorical node sampling, regularizer draws, anchor picks)
-pulls from its own named substream so each component can be reproduced
-independently of the others.
+batch shuffling, categorical node sampling, regularizer draws, anchor picks,
+and the init of the sequential regime's throwaway head) pulls from its own
+named substream so each component can be reproduced independently of the
+others.
 """
 
 from __future__ import annotations

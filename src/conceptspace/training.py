@@ -156,7 +156,7 @@ def _total_loss_with_grads(result, batch: Batch, loss_cfg: LossConfig,
 
 # -- code purity of the training split ------------------------------------------
 
-def _code_purity_probe(samples, n_classes: int, batch_size: int):
+def _code_purity_probe(samples, batch_size: int):
     """Return f(model): the share of `samples` whose global label is the
     majority label of their binarized shared code (eval mode, cut at 0.5).
 
@@ -180,7 +180,7 @@ def _code_purity_probe(samples, n_classes: int, batch_size: int):
     row_of = {"graph": [at[first_graph[key]] for key in graph_key],
               "tabular": [at[first_bits[s.tabular.bits]] for s in samples]}
     probe = [samples[i] for i in rows]
-    probe_batches = batches(probe, batch_size, packed=as_arrays(probe, with_aux=False))
+    probe_batches = batches(as_arrays(probe, with_aux=False), batch_size)
     labels = np.array([s.global_label for s in samples])
 
     def purity(model) -> float:
@@ -190,7 +190,7 @@ def _code_purity_probe(samples, n_classes: int, batch_size: int):
         # one opaque value per row: np.unique then groups equal codes in 1-D
         _, cluster = np.unique(codes.view(f"V{codes.shape[1]}").ravel(),
                                return_inverse=True)
-        counts = np.zeros((cluster.max() + 1, n_classes))
+        counts = np.zeros((cluster.max() + 1, labels.max() + 1))
         np.add.at(counts, (cluster, labels), 1)
         return float(counts.max(axis=1).sum() / len(samples))
 
@@ -290,9 +290,7 @@ def _fit(run: _Run, net, step, epochs: int, evaluate, first_epoch: int = 0) -> l
         for epoch in range(first_epoch, first_epoch + epochs):
             sums = dict.fromkeys(HISTORY_COLUMNS[1:-1], 0.0)
             n_batches = 0
-            for batch in batches(run.split.train, run.cfg.plan.batch_size,
-                                 rng=run.shuffle_rng, shuffle=True, drop_singleton=True,
-                                 packed=run.train_batch):
+            for batch in batches(run.train_batch, run.cfg.plan.batch_size, run.shuffle_rng):
                 for g in grads.values():
                     g[...] = 0.0
                 for column, value in step(batch).items():
@@ -329,8 +327,7 @@ def _draw(run: _Run, batch: Batch):
 def _train_end_to_end(model, run: _Run):
     # probe batches no larger than the test split, so the layer caches left
     # behind stay within those of the per-epoch test evaluation
-    train_purity = _code_purity_probe(run.split.train, run.cfg.n_classes,
-                                      max(len(run.split.test), 1))
+    train_purity = _code_purity_probe(run.split.train, max(len(run.split.test), 1))
     best = {"purity": -1.0, "state": None}
 
     def evaluate():

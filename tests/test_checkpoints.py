@@ -104,6 +104,7 @@ CORRUPTIONS = {
     "truncated header": lambda raw, m, p: raw[:5],
     "truncated manifest": lambda raw, m, p: raw[:40],
     "manifest length past the end": lambda raw, m, p: struct.pack("<Q", len(raw)) + raw[8:],
+    "manifest not an object": lambda raw, m, p: _pack([1], p),
 }
 
 

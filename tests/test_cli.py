@@ -584,13 +584,15 @@ def test_prototype_code_of_wrong_width_exits_5(workdir, tmp_path, capsys):
     (lambda d: d.update(tau="1.0"), "tau"),
     (lambda d: d["plan"].update(learning_rate=10 ** 400), "learning_rate"),
     (lambda d: d.update(use_local_supervision="no"), "use_local_supervision"),
+    (lambda d: d.update(out_dir=5), "out_dir"),
+    (lambda d: d.update(out_dir=None), "out_dir"),
 ], ids=["invalid value", "invalid plan value", "unknown field", "plan not an object",
         "lam", "betas", "sample_fraction", "distance_filter", "epochs",
         "learning_rate", "batch_size", "split_ratio", "random_edge_max",
         "bijection", "width", "tau", "rescale_momentum", "rescale_eps", "version",
         "float width", "float batch_size", "float n_samples", "bool epochs",
         "three betas", "NaN learning_rate", "string tau", "huge learning_rate",
-        "string use_local_supervision"])
+        "string use_local_supervision", "number out_dir", "null out_dir"])
 def test_invalid_config_file_exits_3(tmp_path, edit, named, capsys):
     # the base config is valid: 20 anchors fit in its 32 training samples
     doc = ExperimentConfig(n_samples=40, anchor_count=20).to_dict()

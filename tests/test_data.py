@@ -215,33 +215,44 @@ def test_split_rejects_bad_ratio(thousand):
 
 def test_batch_sizes_800_by_64(thousand):
     ds = split(thousand, 0.8, seed=0)
-    parts = batches(ds.train, 64)
+    parts = batches(as_arrays(ds.train, with_aux=False), 64)
     assert [len(b) for b in parts] == [64] * 12 + [32]
 
 
 def test_batches_without_shuffle_keep_order(thousand):
-    parts = batches(thousand[:10], 4)
+    parts = batches(as_arrays(thousand[:10], with_aux=False), 4)
     assert [i for b in parts for i in b.ids] == [s.id for s in thousand[:10]]
 
 
 def test_trailing_singleton_dropped(thousand):
-    parts = batches(thousand[:65], 64, drop_singleton=True)
+    packed = as_arrays(thousand[:65], with_aux=False)
+    parts = batches(packed, 64, np.random.default_rng(0))
     assert len(parts) == 1 and len(parts[0]) == 64
-    kept = batches(thousand[:65], 64)
+    kept = batches(packed, 64)
     assert [len(b) for b in kept] == [64, 1]
 
 
 def test_batches_reject_bad_size(thousand):
     with pytest.raises(ValueError):
-        batches(thousand[:10], 0)
+        batches(as_arrays(thousand[:10], with_aux=False), 0)
 
 
 def test_shuffled_batches_deterministic(thousand):
-    a = batches(thousand[:100], 16, rng=7, shuffle=True)
-    b = batches(thousand[:100], 16, rng=7, shuffle=True)
+    packed = as_arrays(thousand[:100], with_aux=False)
+    a = batches(packed, 16, np.random.default_rng(7))
+    b = batches(packed, 16, np.random.default_rng(7))
     assert [x.ids for x in a] == [x.ids for x in b]
-    with pytest.raises(ValueError):
-        batches(thousand[:100], 16, shuffle=True)
+
+
+def test_training_pass_draws_one_permutation(thousand):
+    # the shuffle stream is what keeps checkpoints byte-identical: a training
+    # pass cuts in the order of one permutation draw and draws nothing else
+    packed = as_arrays(thousand[:65], with_aux=False)
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    parts = batches(packed, 16, rng)
+    order = twin.permutation(65)
+    assert [i for b in parts for i in b.ids] == [thousand[k].id for k in order[:64]]
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_batch_tensors(thousand):
@@ -271,13 +282,13 @@ def assert_same_batch(got, want):
 
 
 @pytest.mark.parametrize("bijection", BIJECTIONS)
-@pytest.mark.parametrize("kw", [{}, {"shuffle": True, "rng": 3}, {"drop_singleton": True}],
-                         ids=["plain", "shuffled", "drop_singleton"])
-def test_each_batch_equals_packing_its_samples(thousand, bijection, kw):
+@pytest.mark.parametrize("seed", [None, 3], ids=["plain", "shuffled"])
+def test_each_batch_equals_packing_its_samples(thousand, bijection, seed):
     some = thousand[:65]          # 4 batches of 16, then a singleton
     by_id = {s.id: s for s in some}
-    parts = batches(some, 16, bijection=bijection, **kw)
-    assert len(parts) == (4 if kw.get("drop_singleton") else 5)
+    rng = None if seed is None else np.random.default_rng(seed)
+    parts = batches(as_arrays(some, bijection), 16, rng)
+    assert len(parts) == (5 if rng is None else 4)     # a training pass drops it
     for part in parts:
         assert_same_batch(part, as_arrays([by_id[i] for i in part.ids], bijection))
 
@@ -329,6 +340,11 @@ def test_cached_renderings_equal_fresh_ones(thousand, bijection):
             assert got_edges == edges and np.array_equal(feats, want_x)
             with pytest.raises(ValueError):
                 feats[0] = 1.0       # shared by every later batch: read-only
+
+
+def test_translation_batch_needs_aux_rows(thousand):
+    with pytest.raises(ValueError, match="aux rows"):
+        translation_batch(None, packed=as_arrays(thousand[:5], with_aux=False))
 
 
 def test_translation_batch_swaps_renderings(thousand):

@@ -79,7 +79,7 @@ def test_accuracy_invariant_to_eval_batch_size(small_model, small_split):
     model, _ = small_model
     logits_whole = model.forward(whole_batch(small_split.test), "eval").logits
     pieces = [model.forward(b, "eval").logits
-              for b in batches(small_split.test, 7)]
+              for b in batches(whole_batch(small_split.test), 7)]
     assert np.allclose(logits_whole, np.concatenate(pieces), atol=1e-12)
 
 

@@ -239,7 +239,7 @@ def test_code_purity_is_completeness_tree_training_accuracy(tiny_split, epochs):
                       gumbel_rng=substream(cfg.seed, "gumbel"))
     codes, labels = model_codes(model, tiny_split.train)
     tree = BinaryCodeTree().fit(codes, labels)
-    purity = _code_purity_probe(tiny_split.train, cfg.n_classes, 64)(model)
+    purity = _code_purity_probe(tiny_split.train, 64)(model)
     assert purity == (tree.predict(codes) == labels).mean()
 
 

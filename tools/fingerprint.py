@@ -29,7 +29,8 @@ the sha256 of the fixture index's 2-D PCA export (save_pca_csv).
 `batches/seed0` gives the sha256 of every field (name, dtype, shape and
 bytes of each array, repr of the ids) of the batches the seed-0 dataset
 (n_samples=300) is packed into under each bijection: its whole_batch, its
-translation_batch and one shuffled, singleton-dropping batches() pass.
+translation_batch and one training pass of batches() over its whole_batch
+(shuffled by default_rng(0), trailing singleton dropped).
 
 Run from the root of a checkout; it imports the `src/` next to it, so the
 same script fingerprints any two commits that have `cli._evaluate`:
@@ -146,8 +147,8 @@ def fingerprint_batches() -> str:
         samples = _generate(cfg)
         for batch in (whole_batch(samples, bijection=bijection),
                       translation_batch(samples, bijection),
-                      *batches(samples, cfg.plan.batch_size, rng=0, shuffle=True,
-                               drop_singleton=True, bijection=bijection)):
+                      *batches(whole_batch(samples, bijection=bijection),
+                               cfg.plan.batch_size, np.random.default_rng(0))):
             _batch_update(digest, batch)
     return digest.hexdigest()
 
