@@ -43,7 +43,6 @@ from .explain import (
     substitute_missing,
 )
 from .evaluation import (
-    CompletenessReport,
     EvalReport,
     accuracy,
     completeness,

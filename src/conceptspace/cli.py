@@ -8,8 +8,8 @@ mismatch (e.g. an integer field holding a fraction or a boolean, a number
 field that is not finite, a string field holding something else, or not one
 loss.betas weight per modality; loss.betas above 0 outside end_to_end or on
 a baseline; local_pretrain or loss.betas above 0 without
-use_local_supervision) or diverged training (a loss or test logit that is
-not finite), 4 checkpoint/dataset mismatch (e.g. a checkpoint manifest that
+use_local_supervision) or diverged training (a non-finite loss, gradient or
+test logit), 4 checkpoint/dataset mismatch (e.g. a checkpoint manifest that
 is not a JSON object, or eval or explain on a checkpoint of an untrained
 model), 5 explanation-domain error (e.g. a concept code no training sample
 carries), 6 a reproduce run whose overall verdict is FAIL, after it has

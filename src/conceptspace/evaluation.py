@@ -2,9 +2,9 @@
 and cross-modal retrieval label agreement.
 
 Completeness asks how much of the task the learned concepts alone can carry:
-training samples are grouped by their binarized concept code, a decision tree
-maps code bits to labels, and the score is that tree's accuracy on test
-codes. Missing-modality accuracy substitutes the absent modality's
+a decision tree fit on the training samples' binarized concept codes maps
+code bits to labels, and completeness is one score, that tree's accuracy on
+the test codes. Missing-modality accuracy substitutes the absent modality's
 representation with its nearest stored training neighbor (queried from the
 present modality) before predicting.
 """
@@ -29,8 +29,9 @@ class _EncodedSamples(tuple):
     """Samples packed into one Batch once, with the model's eval
     logits and index spaces for them, each computed on first use.
     evaluate_model hands one to every metric helper it calls, so the test
-    split is packed once, run forward once and encoded once per batch; a
-    helper given plain samples packs its own."""
+    split is packed once and encoded once per batch; a helper given plain
+    samples packs its own. A model with index spaces predicts from them,
+    which is its eval forward: its head reads exactly those spaces."""
 
     def __new__(cls, model, samples, with_aux: bool):
         self = super().__new__(cls, samples)
@@ -40,8 +41,9 @@ class _EncodedSamples(tuple):
 
     @functools.cached_property
     def logits(self) -> np.ndarray:
-        out = self.model.forward(self.batch, "eval")
-        return getattr(out, "logits", out)
+        if hasattr(self.model, "index_spaces"):
+            return self.model.predict(self.spaces)
+        return self.model.forward(self.batch, "eval")
 
     @functools.cached_property
     def spaces(self) -> dict:
@@ -65,22 +67,8 @@ def accuracy(model, samples) -> float:
     return float((enc.logits.argmax(axis=1) == enc.batch.y).mean())
 
 
-@dataclass
-class CompletenessReport:
-    score: float
-    n_clusters: int
-    depth: int
-    clusters: list                   # of {"code", "size", "majority_label"}
-
-    def __post_init__(self):
-        if not 0 <= self.score <= 1:
-            raise ValueError("score must be a fraction")
-        if self.n_clusters < 1:
-            raise ValueError("at least one cluster required")
-
-
 def completeness(index: ConceptIndex, test_codes: np.ndarray,
-                 test_labels: np.ndarray) -> CompletenessReport:
+                 test_labels: np.ndarray) -> float:
     """Decision-tree accuracy of binarized concept codes on the test split.
 
     The tree is fit on the training codes held by the index. Test codes never
@@ -90,15 +78,7 @@ def completeness(index: ConceptIndex, test_codes: np.ndarray,
     if index.codes is None:
         raise ValueError("completeness needs a concept-based index")
     tree = BinaryCodeTree().fit(index.codes, index.global_labels)
-    score = float((tree.predict(test_codes) == test_labels).mean())
-    uniq, cluster = np.unique(index.codes, axis=0, return_inverse=True)
-    counts = np.zeros((len(uniq), index.global_labels.max() + 1), dtype=np.int64)
-    np.add.at(counts, (cluster.ravel(), index.global_labels), 1)
-    clusters = [{"code": "".join(map(str, code)), "size": int(n.sum()),
-                 "majority_label": int(n.argmax())}       # ties go to label 0
-                for code, n in zip(uniq.tolist(), counts)]
-    return CompletenessReport(score=score, n_clusters=len(uniq),
-                              depth=tree.depth, clusters=clusters)
+    return float((tree.predict(test_codes) == test_labels).mean())
 
 
 def model_codes(model, samples) -> tuple[np.ndarray, np.ndarray]:
@@ -224,8 +204,8 @@ def evaluate_model(model, index: ConceptIndex | None, split, config_hash: str,
     """Run the requested metric set; metrics needing an index are skipped
     (reported as None) when the model has no representation space.
 
-    The metrics share one packing of the test split, one forward pass, and
-    one encoding each of the own and the translation batch."""
+    The metrics share one packing of the test split and one encoding each of
+    the own and the translation batch."""
     report = EvalReport(model_kind=model.kind, seed=model.config.seed,
                         config_hash=config_hash)
     indexable = index is not None and hasattr(model, "index_spaces")
@@ -235,7 +215,7 @@ def evaluate_model(model, index: ConceptIndex | None, split, config_hash: str,
         report.accuracy = accuracy(model, test)
     if "completeness" in metrics and indexable and getattr(model, "concept_based", False):
         codes, labels = model_codes(model, test)
-        report.completeness = completeness(index, codes, labels).score
+        report.completeness = completeness(index, codes, labels)
     if "missing" in metrics and indexable:
         for mod in MODALITIES:
             report.missing[mod] = missing_modality_eval(model, index, test, mod)

@@ -280,13 +280,17 @@ class Adam:
         self.v = np.zeros_like(self.m)
 
     def step(self, grads: dict) -> None:
-        self.t += 1
+        """Raises FloatingPointError, before the moments or any parameter
+        change, when a gradient is not finite."""
         if not self.params:
             return
+        g = np.concatenate([grads[name].ravel() for name in self.params])
+        if not np.isfinite(g).all():
+            raise FloatingPointError("a gradient is not finite")
+        self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        g = np.concatenate([grads[name].ravel() for name in self.params])
         self.m = b1 * self.m + (1.0 - b1) * g
         self.v = b2 * self.v + (1.0 - b2) * g * g
         update = self.lr * (self.m / bias1) / (np.sqrt(self.v / bias2) + self.eps)

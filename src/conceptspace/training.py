@@ -279,9 +279,10 @@ def _fit(run: _Run, net, step, epochs: int, evaluate, first_epoch: int = 0) -> l
     that the backward never reaches (a frozen part) keeps its exact values.
     After each epoch, evaluate() gives the test split's logits and labels,
     whose accuracy goes into the history row with the epoch's mean batch
-    losses. A loss or test logit that is not finite raises ConfigurationError:
-    the run has diverged, e.g. under too large a learning rate. That error
-    reports a divergence, so numpy's floating-point warnings are off here.
+    losses. A loss, gradient or test logit that is not finite raises
+    ConfigurationError (a gradient before Adam applies it): the run has
+    diverged, e.g. under too large a learning rate. That error reports a
+    divergence, so numpy's floating-point warnings are off here.
     """
     opt = Adam(net.parameters(), run.cfg.plan.learning_rate)
     grads = net.grads()
@@ -296,7 +297,10 @@ def _fit(run: _Run, net, step, epochs: int, evaluate, first_epoch: int = 0) -> l
                 for column, value in step(batch).items():
                     _check_finite(value, column, epoch)
                     sums[column] += value
-                opt.step(grads)
+                try:
+                    opt.step(grads)
+                except FloatingPointError as err:
+                    raise ConfigurationError(f"training diverged in epoch {epoch}: {err}") from None
                 n_batches += 1
             logits, labels = evaluate()
             _check_finite(logits, "the test logits of test_accuracy", epoch)

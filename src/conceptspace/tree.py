@@ -36,17 +36,14 @@ def _majority(y: np.ndarray) -> int:
 class BinaryCodeTree:
     def __init__(self):
         self.root: _Node | None = None
-        self.depth = 0
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "BinaryCodeTree":
         x = np.asarray(x, dtype=np.uint8)
         y = np.asarray(y)
-        self.depth = 0
-        self.root = self._build(x, y, np.arange(len(y)), depth=0)
+        self.root = self._build(x, y, np.arange(len(y)))
         return self
 
-    def _build(self, x, y, idx, depth) -> _Node:
-        self.depth = max(self.depth, depth)
+    def _build(self, x, y, idx) -> _Node:
         labels = y[idx]
         if len(np.unique(labels)) == 1:
             return _Node(label=int(labels[0]))
@@ -66,8 +63,8 @@ class BinaryCodeTree:
         mask = cols[:, best_f] == 1
         return _Node(
             feature=best_f,
-            left=self._build(x, y, idx[~mask], depth + 1),
-            right=self._build(x, y, idx[mask], depth + 1),
+            left=self._build(x, y, idx[~mask]),
+            right=self._build(x, y, idx[mask]),
         )
 
     def predict(self, x: np.ndarray) -> np.ndarray:

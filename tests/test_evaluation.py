@@ -25,27 +25,33 @@ from oracles import majority_vote_completeness
 
 
 class StubModel:
-    """Fixed-function model for metric contract tests."""
+    """Fixed-function model without a representation space, for metric
+    contract tests: its logits come from forward."""
 
     kind = "stub"
     concept_based = True
     trained = True
     config = ExperimentConfig()
 
-    def __init__(self, logits_fn, spaces_fn=None):
+    def __init__(self, logits_fn):
         self._logits_fn = logits_fn
-        self._spaces_fn = spaces_fn
 
     def forward(self, batch, mode):
         return self._logits_fn(batch)
+
+
+class IndexedStubModel(StubModel):
+    """Fixed-function model with fixed index spaces; as for every model with
+    index spaces, its logits come from predicting on them (label 0 here)."""
+
+    def __init__(self, spaces_fn):
+        self._spaces_fn = spaces_fn
 
     def index_spaces(self, batch):
         return self._spaces_fn(batch)
 
     def predict(self, spaces):
-        rows = spaces[MODALITIES[0]].shape[0]
-        return self._logits_fn_rows(rows) if hasattr(self, "_logits_fn_rows") else \
-            np.tile([1.0, 0.0], (rows, 1))
+        return np.tile([1.0, 0.0], (spaces[MODALITIES[0]].shape[0], 1))
 
 
 @pytest.fixture(scope="module")
@@ -105,19 +111,16 @@ def make_index(codes, labels):
 
 def test_codes_determined_by_label_give_one():
     train = make_index([[0, 0], [1, 1], [0, 0], [1, 1]], [0, 1, 0, 1])
-    report = completeness(train, np.array([[0, 0], [1, 1]], dtype=np.uint8),
-                          np.array([0, 1]))
-    assert report.score == 1.0
-    assert report.n_clusters == 2
+    score = completeness(train, np.array([[0, 0], [1, 1]], dtype=np.uint8),
+                         np.array([0, 1]))
+    assert score == 1.0
 
 
 def test_single_cluster_scores_majority_rate():
     train = make_index([[1, 0]] * 10, [0] * 7 + [1] * 3)
     test_codes = np.array([[1, 0]] * 4, dtype=np.uint8)
-    report = completeness(train, test_codes, np.array([0, 0, 1, 1]))
-    assert report.score == 0.5       # predicts the majority label 0
-    assert report.n_clusters == 1
-    assert report.clusters[0]["majority_label"] == 0
+    score = completeness(train, test_codes, np.array([0, 0, 1, 1]))
+    assert score == 0.5       # predicts the majority label 0
 
 
 def test_completeness_equals_majority_vote_oracle():
@@ -130,18 +133,18 @@ def test_completeness_equals_majority_vote_oracle():
         pick = rng.integers(0, 60, size=30)
         test_codes = train_codes[pick]
         test_labels = rng.integers(0, 2, size=30)
-        report = completeness(make_index(train_codes, train_labels),
-                              test_codes.astype(np.uint8), test_labels)
+        score = completeness(make_index(train_codes, train_labels),
+                             test_codes.astype(np.uint8), test_labels)
         want = majority_vote_completeness(train_codes, train_labels,
                                           test_codes, test_labels)
-        assert report.score == pytest.approx(want)
+        assert score == pytest.approx(want)
 
 
 def test_unseen_test_codes_still_scored():
     train = make_index([[0, 0], [1, 1]], [0, 1])
-    report = completeness(train, np.array([[0, 1]], dtype=np.uint8),
-                          np.array([1]))
-    assert report.score in (0.0, 1.0)   # routed deterministically, no crash
+    score = completeness(train, np.array([[0, 1]], dtype=np.uint8),
+                         np.array([1]))
+    assert score in (0.0, 1.0)   # routed deterministically, no crash
 
 
 def test_tree_majority_tie_breaks_to_smallest_label():
@@ -160,14 +163,6 @@ def test_tree_splits_through_zero_gain():
     assert pred.tolist() == [0, 0]   # each cluster's tied vote -> smallest label
 
 
-def test_tree_refit_reports_the_new_depth():
-    tree = BinaryCodeTree().fit(np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8),
-                                np.array([0, 1, 1, 0]))
-    assert tree.depth == 2
-    tree.fit(np.array([[0], [1]], dtype=np.uint8), np.array([0, 1]))
-    assert tree.depth == 1
-
-
 def test_model_codes_shapes(small_model, small_split):
     model, _ = small_model
     codes, labels = model_codes(model, small_split.test)
@@ -184,8 +179,7 @@ def test_degenerate_constant_spaces_change_nothing(data200):
     def spaces(batch):
         return {m: np.full((len(batch), 4), 0.5) for m in MODALITIES}
 
-    logits = np.tile([3.0, -3.0], (len(data200), 1))
-    stub = StubModel(lambda b: logits[:len(b)], spaces)
+    stub = IndexedStubModel(spaces)
     ds = split(data200, 0.8, seed=0)
     index = build_index(stub, list(ds.train))
     plain = accuracy(stub, list(ds.test))
@@ -216,7 +210,7 @@ def test_retrieval_chance_level_for_random_spaces(data200):
     def spaces(batch):
         return {m: rng.uniform(size=(len(batch), 4)) for m in MODALITIES}
 
-    stub = StubModel(lambda b: np.zeros((len(b), 2)), spaces)
+    stub = IndexedStubModel(spaces)
     ds = split(data200, 0.8, seed=0)
     index = build_index(stub, list(ds.train))
     rate = retrieval_label_match(stub, index, list(ds.test),
@@ -284,14 +278,20 @@ def test_repeated_eval_is_identical(small_model, small_split, small_cfg):
     assert a == b
 
 
-@pytest.mark.parametrize("kind", ["shared", "concept", "relative"])
-def test_evaluate_model_equals_public_helpers(kind, small_model, small_split, small_cfg):
+@pytest.fixture(scope="module", params=["shared", "concept", "relative"])
+def indexed_model(request, small_model, small_split, small_cfg):
+    """(kind, trained model) for each kind with index spaces."""
+    kind = request.param
     if kind == "shared":
-        model, _ = small_model
-    else:
-        cfg = small_cfg.with_overrides(plan=TrainPlan(epochs=5, phase2_epochs=5))
-        model = build_baseline(kind, cfg)
-        train_baseline(model, small_split, cfg)
+        return kind, small_model[0]
+    cfg = small_cfg.with_overrides(plan=TrainPlan(epochs=5, phase2_epochs=5))
+    model = build_baseline(kind, cfg)
+    train_baseline(model, small_split, cfg)
+    return kind, model
+
+
+def test_evaluate_model_equals_public_helpers(indexed_model, small_split):
+    kind, model = indexed_model
     index = build_index(model, small_split.train)
     test = small_split.test
     report = evaluate_model(model, index, small_split, "h")
@@ -299,9 +299,19 @@ def test_evaluate_model_equals_public_helpers(kind, small_model, small_split, sm
     if kind == "relative":
         assert report.completeness is None
     else:
-        assert report.completeness == completeness(index, *model_codes(model, test)).score
+        assert report.completeness == completeness(index, *model_codes(model, test))
     assert report.missing == {m: missing_modality_eval(model, index, test, m)
                               for m in MODALITIES}
     assert report.retrieval == {
         f"{a}->{b}": retrieval_label_match(model, index, test, (a, b))
         for a, b in [MODALITIES, MODALITIES[::-1]]}
+
+
+def test_predicting_on_index_spaces_is_the_eval_forward(indexed_model, small_split):
+    # evaluation takes a model's logits from the index spaces it encodes anyway
+    kind, model = indexed_model
+    batch = whole_batch(small_split.test, model.config.bijection)
+    out = model.forward(batch, "eval")
+    logits = out.logits if kind == "shared" else out
+    assert model.predict(model.index_spaces(batch)).tobytes() == logits.tobytes()
+    assert accuracy(model, small_split.test) == float((logits.argmax(axis=1) == batch.y).mean())

@@ -8,7 +8,8 @@ from conceptspace.data import generate_xor_and_xor, split, whole_batch
 from conceptspace.errors import ConfigurationError
 from conceptspace.evaluation import model_codes
 from conceptspace.model import ForwardResult, SharedConceptModel
-from conceptspace.nn import Module
+from conceptspace import training
+from conceptspace.nn import Linear, Module
 from conceptspace.rng import substream
 from conceptspace.training import (
     HISTORY_COLUMNS,
@@ -276,6 +277,39 @@ def test_non_finite_test_logits_stop_training(tiny_split):
     with pytest.raises(ConfigurationError, match="epoch 3: the test logits"):
         _fit(_start(tiny_split, tiny_cfg()), Module(), lambda batch: {"task_loss": 0.5},
              2, evaluate, first_epoch=3)
+
+
+def test_non_finite_gradient_stops_training_before_adam_moves(tiny_split, monkeypatch):
+    net = Linear(3, 2, np.random.default_rng(0), "lin")
+    opts, epochs_done, before = [], [], {}
+
+    class RecordingAdam(training.Adam):
+        def __init__(self, *args):
+            super().__init__(*args)
+            opts.append(self)
+
+    def step(batch):
+        net.dW[...] = 1.0
+        net.db[...] = 1.0
+        if opts[0].t == 1:        # one finite step taken: the moments are non-zero
+            before.update({k: v.copy() for k, v in net.parameters().items()},
+                          m=opts[0].m.copy(), v=opts[0].v.copy())
+            net.db[1] = np.nan
+        return {"task_loss": 0.5}
+
+    def evaluate():
+        epochs_done.append(1)
+        return np.array([[0.0, 1.0]]), np.array([1])
+
+    monkeypatch.setattr(training, "Adam", RecordingAdam)
+    with pytest.raises(ConfigurationError) as err:
+        _fit(_start(tiny_split, tiny_cfg()), net, step, 3, evaluate, first_epoch=2)
+    assert str(err.value) == (f"training diverged in epoch {2 + len(epochs_done)}: "
+                              "a gradient is not finite")
+    after = {**net.parameters(), "m": opts[0].m, "v": opts[0].v}
+    assert before.keys() == after.keys()
+    assert all(after[k].tobytes() == before[k].tobytes() for k in before)
+    assert np.any(before["m"] != 0)
 
 
 @pytest.mark.parametrize("regime", ["sequential", "local_pretrain"])
