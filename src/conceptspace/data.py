@@ -253,11 +253,16 @@ def _aux_rng(sample_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((_AUX_STREAM, sample_id)))
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _aux_padding(sample_id: int) -> tuple[int, ...]:
+    """The padding bits of a sample's tabular rendering; a pure function of
+    its id, so each id's bits are drawn once."""
+    return tuple(int(b) for b in _aux_rng(sample_id).integers(0, 2, size=N_BITS - 2))
+
+
 def tabular_rendering(sample: PairedSample, bijection: str = "default") -> tuple[int, ...]:
     """The graph content as a bit string: family code + seeded padding bits."""
-    code = family_to_bits(sample.graph.family, bijection)
-    padding = _aux_rng(sample.id).integers(0, 2, size=N_BITS - 2)
-    return code + tuple(int(b) for b in padding)
+    return family_to_bits(sample.graph.family, bijection) + _aux_padding(sample.id)
 
 
 @functools.lru_cache(maxsize=len(FAMILIES))
@@ -317,12 +322,20 @@ class Batch:
 
 def normalized_adjacency(node_count: int, edges) -> np.ndarray:
     """Symmetric degree-normalized adjacency with self-loops."""
-    a = np.eye(node_count)
-    for i, j in edges:
-        a[i, j] = 1.0
-        a[j, i] = 1.0
-    d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
-    return a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+    return _adjacency_stack(node_count, [edges])[0]
+
+
+def _adjacency_stack(node_count: int, edge_lists) -> np.ndarray:
+    """normalized_adjacency of each edge list, stacked: (len, node_count, node_count)."""
+    nn = node_count * node_count
+    a = np.zeros((len(edge_lists), node_count, node_count))
+    a.reshape(-1, nn)[:, ::node_count + 1] = 1.0          # a view: self-loops
+    a.put([k * nn + p for k, edges in enumerate(edge_lists) for i, j in edges
+           for p in (i * node_count + j, j * node_count + i)], 1.0)
+    d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=2))
+    a *= d_inv_sqrt[:, :, None]
+    a *= d_inv_sqrt[:, None, :]
+    return a
 
 
 def one_hot(labels: np.ndarray) -> np.ndarray:
@@ -337,13 +350,10 @@ def as_arrays(samples, bijection: str = "default", with_aux: bool = True) -> Bat
     with_aux=False leaves out the translation renderings (the aux fields),
     which eval-mode encoding never reads."""
     n = len(samples)
-    graph_x = np.zeros((n, NODE_COUNT, 1))
-    graph_adj = np.zeros((n, NODE_COUNT, NODE_COUNT))
-    tab_x = np.zeros((n, N_BITS))
-    for k, s in enumerate(samples):
-        graph_x[k, :, 0] = s.graph.node_features
-        graph_adj[k] = normalized_adjacency(s.graph.node_count, s.graph.edges)
-        tab_x[k] = s.tabular.bits
+    graph_x = np.array([s.graph.node_features for s in samples],
+                       dtype=float).reshape(n, NODE_COUNT, 1)
+    graph_adj = _adjacency_stack(NODE_COUNT, [s.graph.edges for s in samples])
+    tab_x = np.array([s.tabular.bits for s in samples], dtype=float).reshape(n, N_BITS)
     y = np.array([s.global_label for s in samples], dtype=np.int64)
     batch = Batch(
         ids=tuple(int(s.id) for s in samples), graph_x=graph_x, graph_adj=graph_adj,
@@ -352,16 +362,12 @@ def as_arrays(samples, bijection: str = "default", with_aux: bool = True) -> Bat
                "tabular": np.array([s.local_label_tab for s in samples], dtype=np.int64)})
     if not with_aux:
         return batch
-    aux_graph_x = np.zeros((n, NODE_COUNT, 1))
-    aux_graph_adj = np.zeros((n, NODE_COUNT, NODE_COUNT))
-    aux_tab_x = np.zeros((n, N_BITS))
-    for k, s in enumerate(samples):
-        _, feats, adj = _rendered_graph(s, bijection)
-        aux_graph_x[k, :, 0] = feats
-        aux_graph_adj[k] = adj
-        aux_tab_x[k] = tabular_rendering(s, bijection)
+    rendered = [_rendered_graph(s, bijection) for s in samples]
+    aux_graph_x = np.array([feats for _, feats, _ in rendered]).reshape(graph_x.shape)
+    aux_graph_adj = np.array([adj for _, _, adj in rendered]).reshape(graph_adj.shape)
+    aux_tab_x = np.array([tabular_rendering(s, bijection) for s in samples], dtype=float)
     return replace(batch, aux_graph_x=aux_graph_x, aux_graph_adj=aux_graph_adj,
-                   aux_tab_x=aux_tab_x)
+                   aux_tab_x=aux_tab_x.reshape(tab_x.shape))
 
 
 def batches(packed: Batch, batch_size: int,

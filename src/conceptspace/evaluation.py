@@ -113,7 +113,7 @@ def retrieval_label_match(model, index: ConceptIndex, samples,
     if source == target:
         raise ValueError("retrieval direction must cross modalities")
     enc = _encoded(model, samples)
-    rows, _ = _nearest(index.spaces[target], enc.spaces[source])
+    rows, _ = _nearest(index.spaces[target], index.distinct[target], enc.spaces[source])
     retrieved = index.local_labels[target][rows]
     return float((retrieved == enc.batch.local[source]).mean())
 

@@ -8,8 +8,11 @@ cluster's centroid), radius neighborhoods, cross-modal retrieval, and the
 nearest-stored-concept substitution used for missing-modality inference.
 
 Every query runs one of two scans, `_nearest` or `_ranked`. Rows are stored
-sorted by sample id, so `_nearest`'s first-occurrence argmin breaks ties
-toward the smallest id, as `_ranked`'s last sort key does.
+sorted by sample id, and ties go to the smallest id. `_ranked` sorts on the
+id last. `_nearest` scans only the distinct rows of a space, each kept at its
+first occurrence (the smallest id holding those bytes), in row order, so its
+first-occurrence argmin picks the same row as a scan over every row: equal
+rows have equal distances.
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ class ConceptIndex:
     codes: np.ndarray | None        # (n, sum of widths) uint8, z >= 0.5
     local_labels: dict              # modality -> (n,)
     global_labels: np.ndarray       # (n,)
+    distinct: dict = field(init=False, repr=False)   # modality or "z" -> rows, set once
+
+    def __post_init__(self):
+        self.distinct = {name: _distinct_rows(x) for name, x in
+                         {**self.spaces, "z": self.z}.items() if x is not None}
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -44,6 +52,13 @@ class ConceptIndex:
         if pos >= len(self.ids) or self.ids[pos] != sample_id:
             raise KeyError(f"sample {sample_id} not in index")
         return pos
+
+
+def _distinct_rows(x: np.ndarray) -> np.ndarray:
+    """Ascending row numbers of x's byte-distinct rows, each at its first occurrence."""
+    x = np.ascontiguousarray(x)
+    keys = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).ravel()
+    return np.sort(np.unique(keys, return_index=True)[1])
 
 
 def concept_codes(spaces: dict) -> np.ndarray:
@@ -112,14 +127,15 @@ def encode_samples(model, samples) -> dict:
 
 # -- queries -------------------------------------------------------------------
 
-def _nearest(stored: np.ndarray, queries: np.ndarray):
+def _nearest(stored: np.ndarray, distinct: np.ndarray, queries: np.ndarray):
     """(rows, distances): for each query row, the first stored row at the
-    least Euclidean distance, ranked on squared distances."""
-    if len(stored) == 0:
+    least Euclidean distance, ranked on squared distances. Only the rows
+    `distinct` (ConceptIndex.distinct of `stored`) are scanned."""
+    if len(distinct) == 0:
         raise RuntimeError("empty index")
-    d2 = ((queries[:, None, :] - stored[None, :, :]) ** 2).sum(axis=2)
-    rows = d2.argmin(axis=1)
-    return rows, np.sqrt(d2[np.arange(len(rows)), rows])
+    d2 = ((queries[:, None, :] - stored[distinct][None, :, :]) ** 2).sum(axis=2)
+    pick = d2.argmin(axis=1)
+    return distinct[pick], np.sqrt(d2[np.arange(len(pick)), pick])
 
 
 def _ranked(index: ConceptIndex, query_vec: np.ndarray, modality: str,
@@ -128,7 +144,7 @@ def _ranked(index: ConceptIndex, query_vec: np.ndarray, modality: str,
     (distance, id): those strictly within `radius`, or else the first `top_k`."""
     if (radius is None) == (top_k is None):
         raise ValueError("pass exactly one of radius or top_k")
-    if radius is not None and radius < 0:
+    if radius is not None and not radius >= 0:
         raise ValueError("radius must be nonnegative")
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be at least 1")
@@ -152,7 +168,8 @@ def prototype(index: ConceptIndex, code) -> int:
     if not members.any():
         raise NoSuchConceptError(
             "no training sample has code " + "".join(str(int(b)) for b in code))
-    rows, _ = _nearest(index.z, index.z[members].mean(axis=0, keepdims=True))
+    rows, _ = _nearest(index.z, index.distinct["z"],
+                       index.z[members].mean(axis=0, keepdims=True))
     return int(index.ids[rows[0]])
 
 
@@ -187,7 +204,8 @@ def substitute_missing(model, index: ConceptIndex, query_vec: np.ndarray,
     if present_modality == missing_modality:
         raise ValueError("present and missing modality must differ")
     stored = index.spaces[missing_modality]
-    rows, dists = _nearest(stored, np.atleast_2d(query_vec))
+    rows, dists = _nearest(stored, index.distinct[missing_modality],
+                           np.atleast_2d(query_vec))
     return stored[rows[0]].copy(), int(index.ids[rows[0]]), float(dists[0])
 
 
@@ -195,7 +213,7 @@ def substitute_matrix(index: ConceptIndex, queries: np.ndarray,
                       missing_modality: str):
     """Vectorized substitution for a batch of present-modality vectors."""
     stored = index.spaces[missing_modality]
-    rows, _ = _nearest(stored, queries)
+    rows, _ = _nearest(stored, index.distinct[missing_modality], queries)
     return stored[rows], index.ids[rows]
 
 

@@ -62,6 +62,17 @@ def betweenness_oracle(node_count: int, edges) -> np.ndarray:
     return score / ((node_count - 1) * (node_count - 2) / 2.0)
 
 
+def adjacency_oracle(node_count: int, edges) -> np.ndarray:
+    """Self-loops plus edges, each entry set one at a time, then scaled by
+    1/sqrt(degree) on both sides, row scale first."""
+    a = np.eye(node_count)
+    for i, j in edges:
+        a[i, j] = 1.0
+        a[j, i] = 1.0
+    d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    return a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+
+
 def bce_reference(logits: np.ndarray, targets: np.ndarray) -> float:
     """sigmoid then plain log loss; only valid for moderate logits."""
     p = 1.0 / (1.0 + np.exp(-logits))

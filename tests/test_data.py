@@ -7,6 +7,7 @@ import pytest
 from conceptspace.config import BIJECTIONS
 from conceptspace.data import (
     FAMILIES,
+    N_BITS,
     NODE_COUNT,
     GraphFamily,
     GraphSample,
@@ -25,11 +26,12 @@ from conceptspace.data import (
     tabular_rendering,
     translation_batch,
     whole_batch,
+    _aux_rng,
     _family_edges,
 )
 from conceptspace.errors import DatasetError
 
-from oracles import betweenness_oracle, label_oracle
+from oracles import adjacency_oracle, betweenness_oracle, label_oracle
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +305,34 @@ def test_normalized_adjacency_symmetric_rows():
     adj = normalized_adjacency(4, ((0, 1), (1, 2)))
     assert np.allclose(adj, adj.T)
     assert adj[3, 3] == 1.0          # isolated node keeps its self-loop weight
+
+
+def test_packed_adjacency_has_the_per_sample_bytes(thousand):
+    def per_sample(s):
+        adj = normalized_adjacency(NODE_COUNT, s.graph.edges)
+        assert adj.tobytes() == adjacency_oracle(NODE_COUNT, s.graph.edges).tobytes()
+        return adj.tobytes()
+
+    packed = as_arrays(thousand)
+    assert packed.graph_adj.shape == (1000, NODE_COUNT, NODE_COUNT)
+    for k, s in enumerate(thousand):
+        assert packed.graph_adj[k].tobytes() == per_sample(s)
+    edgeless = [s for s in thousand
+                if s.graph.family is GraphFamily.ISOLATED and not s.graph.edges]
+    assert edgeless
+    for s in (thousand[0], edgeless[0]):
+        assert as_arrays([s], with_aux=False).graph_adj[0].tobytes() == per_sample(s)
+    assert np.array_equal(as_arrays(edgeless[:1]).graph_adj[0], np.eye(NODE_COUNT))
+
+
+def test_aux_padding_is_a_fresh_draw(thousand):
+    some = thousand[:300]
+    for _ in range(2):               # the second pass reads the cache
+        packed = as_arrays(some)
+        for k, s in enumerate(some):
+            fresh = _aux_rng(s.id).integers(0, 2, size=N_BITS - 2).tolist()
+            assert packed.aux_tab_x[k, 2:].tolist() == fresh
+            assert list(tabular_rendering(s)[2:]) == fresh
 
 
 # -- translation renderings -------------------------------------------------------

@@ -4,12 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from conceptspace.config import BIJECTIONS, MODALITIES
-from conceptspace.data import whole_batch
+from conceptspace.config import BIJECTIONS, MODALITIES, other_modality
+from conceptspace.data import as_arrays, whole_batch
 from conceptspace.errors import NoSuchConceptError
+from conceptspace.evaluation import retrieval_label_match
 from conceptspace.explain import (
     ConceptIndex,
     Explanation,
+    _nearest,
     build_index,
     cross_modal_retrieve,
     encode_samples,
@@ -373,6 +375,96 @@ def test_radius_equal_to_a_stored_distance_is_excluded(radius, n_tabular):
     cross = cross_modal_retrieve(index, CENTER, "tabular", radius=radius).results
     assert [(i, d) for i, _, d in cross] == scan_neighborhood(
         index.spaces["graph"], index.ids, CENTER, radius)
+
+
+@pytest.mark.parametrize("query", ["neighborhood", "cross_modal"])
+def test_nan_radius_rejected(query):
+    index = tied_index()
+    with pytest.raises(ValueError, match="radius"):
+        if query == "neighborhood":
+            neighborhood(index, CENTER, "graph", float("nan"))
+        else:
+            cross_modal_retrieve(index, CENTER, "tabular", radius=float("nan"))
+
+
+# -- nearest rows over distinct rows ------------------------------------------------
+
+# every point of a dyadic 5 x 5 grid: most of them tie two or more stored rows
+GRID = np.array([(x, y) for x in np.arange(5) / 4 for y in np.arange(5) / 4])
+
+
+def duplicated_tied_index():
+    """tied_index with every row stored twice: the copies follow in reverse
+    order under ids 16-21, so each tie of tied_index also ties later copies."""
+    base = tied_index()
+    spaces = {m: np.concatenate([v, v[::-1]]) for m, v in base.spaces.items()}
+    z = np.concatenate([spaces["graph"], spaces["tabular"]], axis=1)
+    return ConceptIndex(np.concatenate([base.ids, np.arange(16, 22)]), spaces, z,
+                        (z >= 0.5).astype(np.uint8),
+                        {m: np.zeros(12, dtype=int) for m in MODALITIES},
+                        np.zeros(12, dtype=int))
+
+
+def named_spaces(index):
+    return {**index.spaces, "z": index.z}
+
+
+def assert_nearest_is_scan(index, name, queries):
+    """_nearest over the distinct rows picks the scan's row with the scan's
+    distance bytes; returns the scan's ids."""
+    stored = named_spaces(index)[name]
+    want = [scan_nearest(stored, index.ids, q) for q in queries]
+    rows, dists = _nearest(stored, index.distinct[name], queries)
+    assert index.ids[rows].tolist() == [i for i, _ in want]
+    assert dists.tobytes() == np.array([d for _, d in want]).tobytes()
+    return [i for i, _ in want]
+
+
+def test_distinct_rows_are_first_occurrences():
+    index = duplicated_tied_index()
+    for name, x in named_spaces(index).items():
+        want = [k for k in range(len(x))
+                if not any(x[k].tobytes() == x[j].tobytes() for j in range(k))]
+        assert index.distinct[name].tolist() == want == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("make_index", [tied_index, duplicated_tied_index])
+def test_nearest_callers_equal_the_scan_on_ties(make_index):
+    index = make_index()
+    for mod in MODALITIES:
+        want = assert_nearest_is_scan(index, mod, GRID)
+        subs, ids = substitute_matrix(index, GRID, mod)
+        assert ids.tolist() == want
+        assert np.array_equal(subs, index.spaces[mod][[index.row_of(i) for i in want]])
+        one_sub, one_id = substitute_matrix(index, GRID[7:8], mod)     # a single query
+        assert one_id.tolist() == want[7:8] and np.array_equal(one_sub, subs[7:8])
+        for q in GRID:
+            vec, got_id, dist = substitute_missing(None, index, q, other_modality(mod), mod)
+            want_id, want_dist = scan_nearest(index.spaces[mod], index.ids, q)
+            assert (got_id, np.float64(dist).tobytes()) == (
+                want_id, np.float64(want_dist).tobytes())
+            assert np.array_equal(vec, index.spaces[mod][index.row_of(want_id)])
+    assert_nearest_is_scan(index, "z", np.concatenate([GRID, GRID], axis=1))
+    for code in index.codes:
+        assert prototype(index, code) == scan_prototype(index.z, index.codes, index.ids, code)
+
+
+def test_nearest_callers_equal_the_scan_on_the_trained_index(trained):
+    model, index, ds = trained
+    assert all(len(index.distinct[m]) < len(index) for m in MODALITIES)   # rows repeat
+    test_spaces = encode_samples(model, ds.test)
+    local = as_arrays(ds.test, with_aux=False).local
+    for source, target in (MODALITIES, MODALITIES[::-1]):
+        queries = np.concatenate([test_spaces[source], index.spaces[target][:20]])
+        want = assert_nearest_is_scan(index, target, queries)
+        assert substitute_matrix(index, queries, target)[1].tolist() == want
+        for q, want_id in zip(queries[::20], want[::20]):
+            assert substitute_missing(model, index, q, source, target)[1] == want_id
+        rows = [index.row_of(i) for i in want[:len(ds.test)]]
+        label_match = (index.local_labels[target][rows] == local[source]).mean()
+        assert retrieval_label_match(model, index, ds.test, (source, target)) == label_match
+    for code in np.unique(index.codes, axis=0):
+        assert prototype(index, code) == scan_prototype(index.z, index.codes, index.ids, code)
 
 
 # -- explanation records --------------------------------------------------------------

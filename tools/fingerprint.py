@@ -32,14 +32,23 @@ bytes of each array, repr of the ids) of the batches the seed-0 dataset
 translation_batch and one training pass of batches() over its whole_batch
 (shuffled by default_rng(0), trailing singleton dropped).
 
+Three header lines, `# numpy`, `# openblas` and `# openblas_core`, come
+first: the numpy version and the version and CPU core of the OpenBLAS it
+loaded, since the bytes may differ under another BLAS kernel.
+tools/fingerprint.expected holds the output of the last deliberate change,
+and tests/test_fingerprint.py checks that a run prints it again.
+
 Run from the root of a checkout; it imports the `src/` next to it, so the
 same script fingerprints any two commits that have `cli._evaluate`:
 
-    python tools/fingerprint.py
+    python tools/fingerprint.py            # print the lines
+    python tools/fingerprint.py --write    # print them and rewrite the expected file
 """
 
 from __future__ import annotations
 
+import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -77,6 +86,7 @@ from conceptspace.model import load_model, save_model
 from conceptspace.training import save_history
 
 FIXTURE = os.path.join(ROOT, "bench", "fixture", "shared_seed0.ckpt")
+EXPECTED = os.path.join(ROOT, "tools", "fingerprint.expected")
 # (kind, regime, loss.betas) of each trained job
 JOBS = (("shared", "end_to_end", (0.0, 0.0)), ("shared", "sequential", (0.0, 0.0)),
         ("shared", "local_pretrain", (0.0, 0.0)), ("shared", "end_to_end", (0.3, 0.3)),
@@ -185,20 +195,68 @@ def fingerprint_queries(model, ds, index) -> str:
     return _json_sha256(results)
 
 
-def main() -> int:
+def _openblas_call(lib, name: str) -> str | None:
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"{prefix}_{name}{suffix}", None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
+def environment() -> list[tuple[str, str]]:
+    """(key, value) of the numpy version and of the OpenBLAS version and core
+    that numpy loaded, read from the library itself ("unknown" when it is not
+    an OpenBLAS or cannot be found among the process's mapped files)."""
+    version = core = "unknown"
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        paths = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        config, corename = _openblas_call(lib, "get_config"), _openblas_call(lib, "get_corename")
+        if config and corename:
+            version, core = config.split()[1], corename
+            break
+    return [("numpy", np.__version__), ("openblas", version), ("openblas_core", core)]
+
+
+def lines():
+    """The header lines, then one fingerprint line per artifact group."""
+    for key, value in environment():
+        yield f"# {key} {value}"
     with tempfile.TemporaryDirectory() as out_dir:
         for kind, regime, betas in JOBS:
-            print(job_name(kind, regime, betas), *fingerprint(kind, regime, betas, out_dir))
+            yield " ".join((job_name(kind, regime, betas),
+                            *fingerprint(kind, regime, betas, out_dir)))
         model = load_model(FIXTURE)
         ds = split(_generate(model.config), model.config.split_ratio, model.config.seed)
         index = build_index(model, ds.train)
-        print("read_path/shared_seed0", *fingerprint_read_path(model, ds, index))
-        print("queries/shared_seed0", fingerprint_queries(model, ds, index))
-        print("dataset/seed0", *fingerprint_datasets(out_dir))
+        yield " ".join(("read_path/shared_seed0", *fingerprint_read_path(model, ds, index)))
+        yield f"queries/shared_seed0 {fingerprint_queries(model, ds, index)}"
+        yield " ".join(("dataset/seed0", *fingerprint_datasets(out_dir)))
         pca_path = os.path.join(out_dir, "embedding_pca.csv")
         save_pca_csv(index, pca_path)
-        print("embedding/shared_seed0", _sha256(pca_path))
-    print("batches/seed0", fingerprint_batches())
+        yield f"embedding/shared_seed0 {_sha256(pca_path)}"
+    yield f"batches/seed0 {fingerprint_batches()}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Print sha256 fingerprints of "
+                                     "the artifacts every model kind produces.")
+    parser.add_argument("--write", action="store_true",
+                        help=f"also write the lines to {os.path.relpath(EXPECTED, ROOT)}")
+    args = parser.parse_args(argv)
+    out = []
+    for line in lines():
+        print(line, flush=True)
+        out.append(line)
+    if args.write:
+        with open(EXPECTED, "w") as fh:
+            fh.write("\n".join(out) + "\n")
     return 0
 
 
