@@ -1,19 +1,22 @@
 """Command-line harness: generate / train / eval / explain / reproduce.
 
-Exit codes: 0 success, 1 usage error (including a --workers below 1 or a
-repeated seed in reproduce --seeds), 2 I/O failure or a malformed dataset
-file (e.g. a bit or an edge endpoint that is not an integer, or a node
-feature that is not a finite number), 3 configuration or model/regime
-mismatch (e.g. an integer field holding a fraction or a boolean, a number
-field that is not finite, a string field holding something else, or not one
-loss.betas weight per modality; loss.betas above 0 outside end_to_end or on
-a baseline; local_pretrain or loss.betas above 0 without
-use_local_supervision) or diverged training (a non-finite loss, gradient or
-test logit), 4 checkpoint/dataset mismatch (e.g. a checkpoint manifest that
-is not a JSON object, or eval or explain on a checkpoint of an untrained
-model), 5 explanation-domain error (e.g. a concept code no training sample
-carries), 6 a reproduce run whose overall verdict is FAIL, after it has
-written its table, its lines and reproduce_results.json. A seed list shorter
+Exit codes: 0 success; 1 usage error (e.g. a --workers below 1 or a
+repeated seed in reproduce --seeds); 2 I/O failure or a dataset file that is
+not what generate writes (e.g. a record field missing or unknown, a bit or
+an edge endpoint that is not an integer, a feature that is not a finite
+number, a label false or 0.0 where it writes 0); 3 configuration or
+model/regime mismatch (e.g. an integer field holding a fraction or a boolean,
+a number field that is not finite, a string field holding something else,
+not one loss.betas weight per modality, an anchor_count above the training
+split; loss.betas above 0 outside end_to_end or on a baseline;
+local_pretrain or loss.betas above 0 without use_local_supervision) or
+diverged training (a non-finite loss, gradient or test logit); 4 a
+checkpoint that is not what train writes for its model (e.g. a manifest that
+is not a JSON object, a flag that is not true or false, a missing or extra
+rescale flag, a non-finite value, a negative running_var), or eval or
+explain on an untrained model; 5 explanation-domain error (e.g. a concept
+code no training sample carries); 6 a reproduce verdict of FAIL, after its
+table, lines and reproduce_results.json are written. A seed list shorter
 than 4 always fails, because the completeness line needs 4 wins.
 """
 

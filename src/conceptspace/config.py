@@ -41,6 +41,22 @@ def is_finite_real(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+def first_difference(got: dict, want: dict, prefix: str = "") -> str | None:
+    """None if the JSON object `got`, as read, is `want`, the one its writer
+    writes, in types as well as values (1, 1.0 and true all differ); else a
+    note on the first key where they differ, in sorted order and depth first."""
+    if json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True):
+        return None
+    for key in sorted(got.keys() | want.keys()):
+        a, b = (json.dumps(d[key], sort_keys=True) if key in d else "absent"
+                for d in (got, want))
+        if a != b and isinstance(got.get(key), dict) and isinstance(want.get(key), dict):
+            return first_difference(got[key], want[key], f"{prefix}{key}.")
+        if a != b:
+            return f"{prefix}{key} " + (f"is {a}, not {b}" if len(a + b) < 90 else "differs")
+    return None
+
+
 def _check_types(record) -> None:
     """Every int field of a config dataclass holds an integer, every float
     field a finite real number (an integer will do), every bool field a bool

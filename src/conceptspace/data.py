@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import is_finite_real, is_integer
+from .config import first_difference, is_finite_real, is_integer
 from .errors import DatasetError
 from .rng import substream
 
@@ -416,6 +416,13 @@ def translation_batch(samples, bijection: str = "default",
 
 # -- serialization -----------------------------------------------------------
 
+def _record(s: PairedSample) -> dict:
+    return {"id": s.id, "bits": list(s.tabular.bits), "family": s.graph.family.value,
+            "edges": [list(e) for e in s.graph.edges],
+            "features": list(s.graph.node_features), "local_tab": s.local_label_tab,
+            "local_graph": s.local_label_graph, "global": s.global_label}
+
+
 def save_dataset(samples, path: str, *, seed: int, random_edge_max: int,
                  bijection: str) -> None:
     """One JSON document: header plus a samples array. Round-trip is lossless."""
@@ -425,33 +432,17 @@ def save_dataset(samples, path: str, *, seed: int, random_edge_max: int,
         "n_samples": len(samples),
         "random_edge_max": random_edge_max,
         "bijection": bijection,
-        "samples": [
-            {
-                "id": s.id,
-                "bits": list(s.tabular.bits),
-                "family": s.graph.family.value,
-                "edges": [list(e) for e in s.graph.edges],
-                "features": list(s.graph.node_features),
-                "local_tab": s.local_label_tab,
-                "local_graph": s.local_label_graph,
-                "global": s.global_label,
-            }
-            for s in samples
-        ],
+        "samples": [_record(s) for s in samples],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
 
 
 _HEADER_FIELDS = ("version", "seed", "n_samples", "random_edge_max", "bijection")
-_RECORD_FIELDS = ("id", "bits", "family", "edges", "features", "local_tab",
-                  "local_graph", "global")
 
 
 def _sample_from_record(rec: dict) -> PairedSample:
-    missing = [k for k in _RECORD_FIELDS if k not in rec]
-    if missing:
-        raise ValueError(f"lacks {', '.join(missing)}")
+    """The sample a record holds, if the record is _record of that sample."""
     if not is_integer(rec["id"]):
         raise ValueError(f"id {rec['id']!r} is not an integer")
     if len(rec["features"]) != NODE_COUNT:
@@ -471,22 +462,22 @@ def _sample_from_record(rec: dict) -> PairedSample:
         family=GraphFamily(rec["family"]),
     )
     sample = _paired(rec["id"], TabularSample(tuple(rec["bits"])), graph)
-    for key, want in (("local_tab", sample.local_label_tab),
-                      ("local_graph", sample.local_label_graph),
-                      ("global", sample.global_label)):
-        if rec[key] != want:
-            raise ValueError(f"{key} is {rec[key]!r}, its bits and family give {want}")
+    note = first_difference(rec, _record(sample))
+    if note:
+        raise ValueError(note)
     return sample
 
 
 def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
-    """Read a file written by save_dataset. Raises DatasetError when a header
-    field, `samples` or a record field is missing, the header's n_samples
-    differs from the record count, an id repeats or is not an integer (a
-    bool included), a graph does not have NODE_COUNT nodes, a bit or an edge
-    endpoint is not an integer, a feature is not a finite number (a bool is neither),
-    or a label disagrees with the bits and family. Stored feature values are
-    taken as they are."""
+    """Read a file written by save_dataset. Raises DatasetError when the
+    document is not a JSON object of DATASET_VERSION, a header field or
+    `samples` is missing, `samples` is not a list or its length is not
+    n_samples, the bijection is unknown, an id repeats, or a record is not
+    what save_dataset writes for its sample: a field is missing or unknown,
+    an id, bit or edge endpoint is not an integer (a bool included), a
+    feature is not a finite number (a bool is neither), a graph lacks
+    NODE_COUNT nodes, or a label differs in value or type (false or 1.0 for
+    0) from its bits and family. Stored feature values are taken as they are."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -503,11 +494,13 @@ def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
         raise DatasetError(f"dataset header says {doc['n_samples']} samples, "
                            f"it holds {len(records)}")
     if doc["bijection"] not in _BIJECTIONS:
-        raise DatasetError(f"unknown bijection {doc['bijection']!r}")
+        raise DatasetError(f"dataset has an unknown bijection {doc['bijection']!r}")
     samples, seen = [], set()
     for pos, rec in enumerate(records):
         try:
             sample = _sample_from_record(rec)
+        except KeyError as exc:
+            raise DatasetError(f"dataset record {pos} lacks {exc.args[0]}") from None
         except (TypeError, ValueError) as exc:
             raise DatasetError(f"dataset record {pos}: {exc}") from None
         if sample.id in seen:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MODALITIES, ExperimentConfig
+from .config import MODALITIES, ExperimentConfig, first_difference
 from .data import Batch, N_BITS
 from .errors import CheckpointMismatchError
 from .nn import (
@@ -317,18 +317,17 @@ class SharedConceptModel(ConcatHeadModel):
 # -- checkpoints ---------------------------------------------------------------
 #
 # Layout: 8-byte little-endian manifest length, JSON manifest (sorted keys),
-# then raw little-endian float64 blocks in manifest order. The manifest tags
-# every block with name and shape; loading validates both against the model
-# rebuilt from the embedded config.
+# then raw little-endian float64 blocks in manifest order. The manifest is
+# _manifest(model); loading rebuilds the model from the embedded config and
+# accepts the file only if it is what save_model would write for that model.
 
 def _model_blocks(model) -> list[tuple[str, np.ndarray]]:
     """What a checkpoint holds: sorted parameters, then sorted buffers."""
     return sorted(model.parameters().items()) + sorted(model.buffers().items())
 
 
-def save_model(model, path: str) -> None:
-    blocks = _model_blocks(model)
-    manifest = {
+def _manifest(model) -> dict:
+    return {
         "version": CHECKPOINT_VERSION,
         "kind": model.kind,
         "config": model.config.to_dict(),
@@ -336,13 +335,16 @@ def save_model(model, path: str) -> None:
         "trained": bool(model.trained),
         "rescale_trained": {name: bool(state.trained)
                             for name, state in model.rescale_states().items()},
-        "blocks": [{"name": n, "shape": list(a.shape)} for n, a in blocks],
+        "blocks": [{"name": n, "shape": list(a.shape)} for n, a in _model_blocks(model)],
     }
-    mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+
+
+def save_model(model, path: str) -> None:
+    mbytes = json.dumps(_manifest(model), sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(mbytes)))
         fh.write(mbytes)
-        for _, arr in blocks:
+        for _, arr in _model_blocks(model):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -360,8 +362,6 @@ def _read_checkpoint(path: str) -> tuple[dict, bytes]:
         manifest = json.loads(raw[8:8 + mlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointMismatchError(f"checkpoint manifest is unreadable: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise CheckpointMismatchError(f"checkpoint {path}'s manifest is not an object")
     return manifest, raw[8 + mlen:]
 
 
@@ -370,55 +370,41 @@ def read_manifest(path: str) -> dict:
 
 
 def load_model(path: str):
-    """Rebuild the model a checkpoint describes. The manifest must list
-    exactly the model's blocks, with their shapes, and the payload must hold
-    exactly those blocks: nothing missing, short or left over."""
+    """Rebuild the model a checkpoint describes from its kind and config, with
+    local heads if a block is named for one, and its trained flags. Raises
+    CheckpointMismatchError unless the file is what save_model writes for
+    it: a manifest equal to _manifest(model) in types as well as values (a
+    flag is true or false, not "no" or 1), then exactly the model's blocks,
+    every value finite and every running_var at least 0."""
     from . import baselines  # registry of baseline kinds; deferred to avoid a cycle
 
     manifest, payload = _read_checkpoint(path)
-    if manifest.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointMismatchError(
-            f"unsupported checkpoint version {manifest.get('version')}")
     try:
-        kind, trained = manifest["kind"], manifest["trained"]
-        rescale_trained = dict(manifest["rescale_trained"])
-        names = [str(spec["name"]) for spec in manifest["blocks"]]
-        shapes = [tuple(spec["shape"]) for spec in manifest["blocks"]]
+        kind = manifest["kind"]
         cfg = ExperimentConfig.from_dict(manifest["config"])
-    except (KeyError, TypeError, ValueError) as exc:
+        heads = any(spec["name"].startswith("local_head.") for spec in manifest["blocks"])
+        model = (SharedConceptModel(cfg, substream(cfg.seed, "init"), with_local_heads=heads)
+                 if kind == SharedConceptModel.kind else baselines.build_baseline(kind, cfg))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointMismatchError(f"checkpoint manifest is damaged: {exc!r}") from exc
-    if kind == SharedConceptModel.kind:
-        has_heads = any(n.startswith("local_head.") for n in names)
-        model = SharedConceptModel(cfg, substream(cfg.seed, "init"),
-                                   with_local_heads=has_heads)
-    elif kind in baselines.BASELINE_KINDS:
-        model = baselines.build_baseline(kind, cfg)
-    else:
-        raise CheckpointMismatchError(f"checkpoint holds an unknown model kind {kind!r}")
-    targets = dict(_model_blocks(model))
-    if sorted(names) != sorted(targets):
-        missing = sorted(set(targets) - set(names))
-        extra = sorted(set(names) - set(targets))
-        repeated = sorted({n for n in names if names.count(n) > 1})
-        raise CheckpointMismatchError(
-            f"checkpoint blocks do not match a {kind} model: missing {missing}, "
-            f"unexpected {extra}, repeated {repeated}")
-    for name, shape in zip(names, shapes):
-        if targets[name].shape != shape:
-            raise CheckpointMismatchError(
-                f"block {name!r} has shape {shape}, expected {targets[name].shape}")
-    expected = 8 * sum(targets[name].size for name in names)
-    if len(payload) != expected:
-        raise CheckpointMismatchError(
-            f"checkpoint payload is {len(payload)} bytes, its manifest describes {expected}")
-    offset = 0
-    for name, shape in zip(names, shapes):
-        size = 8 * targets[name].size
-        targets[name][...] = np.frombuffer(payload[offset:offset + size],
-                                           dtype="<f8").reshape(shape)
-        offset += size
+    flags = manifest.get("rescale_trained")
     for name, state in model.rescale_states().items():
-        state.trained = rescale_trained.get(name, False)
-    model.trained = trained
+        state.trained = flags.get(name, False) if isinstance(flags, dict) else False
+    model.trained = manifest.get("trained")
+    note = first_difference(manifest, _manifest(model))
+    if note:
+        raise CheckpointMismatchError(
+            f"checkpoint manifest does not match a {kind} model built from its config: {note}")
+    blocks = _model_blocks(model)
+    sizes = [a.size for _, a in blocks]
+    if len(payload) != 8 * sum(sizes):
+        raise CheckpointMismatchError(f"checkpoint payload is {len(payload)} bytes, "
+                                      f"its manifest describes {8 * sum(sizes)}")
+    values = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise CheckpointMismatchError(f"checkpoint {path} holds a value that is not finite")
+    for (_, arr), part in zip(blocks, np.split(values, np.cumsum(sizes)[:-1])):
+        arr[...] = part.reshape(arr.shape)
+    if any((state.running_var < 0).any() for state in model.rescale_states().values()):
+        raise CheckpointMismatchError(f"checkpoint {path} holds a negative running_var")
     return model
-

@@ -96,6 +96,19 @@ def _repeat_first_block(raw, manifest, payload):
     return _pack(manifest, payload[:8 * int(np.prod(spec["shape"]))] + payload)
 
 
+def _block_value(name_end, value):
+    """A corruption that sets the first value of the first block whose name
+    ends in `name_end`."""
+    def corrupt(raw, manifest, payload):
+        offset = 0
+        for spec in manifest["blocks"]:
+            if spec["name"].endswith(name_end):
+                return _pack(manifest, payload[:offset] + struct.pack("<d", value)
+                             + payload[offset + 8:])
+            offset += 8 * int(np.prod(spec["shape"]))
+    return corrupt
+
+
 CORRUPTIONS = {
     "missing block": _drop_first_block,
     "repeated block": _repeat_first_block,
@@ -105,6 +118,10 @@ CORRUPTIONS = {
     "truncated manifest": lambda raw, m, p: raw[:40],
     "manifest length past the end": lambda raw, m, p: struct.pack("<Q", len(raw)) + raw[8:],
     "manifest not an object": lambda raw, m, p: _pack([1], p),
+    "manifest not JSON": lambda raw, m, p: struct.pack("<Q", 5) + b"{oops" + p,
+    "NaN weight": _block_value(".W", float("nan")),
+    "inf weight": _block_value(".W", float("inf")),
+    "negative running_var": _block_value(".running_var", -1.0),
 }
 
 
@@ -139,6 +156,14 @@ MANIFEST_DAMAGE = {
     "invalid config value": _edited(lambda m: m["config"].update(n_samples=0)),
     "unknown config field": _edited(lambda m: m["config"].update(colour="red")),
     "blocks not a list": _edited(lambda m: m.update(blocks=7)),
+    "version 2": _edited(lambda m: m.update(version=2)),
+    "modalities reversed": _edited(lambda m: m["modalities"].reverse()),
+    "trained as a string": _edited(lambda m: m.update(trained="no")),
+    "trained as a number": _edited(lambda m: m.update(trained=1)),
+    "rescale flag missing": _edited(lambda m: m["rescale_trained"].popitem()),
+    "rescale flag extra": _edited(lambda m: m["rescale_trained"].update(extra=True)),
+    "rescale flags as a list": _edited(
+        lambda m: m.update(rescale_trained=[list(i) for i in m["rescale_trained"].items()])),
     **{f"no {key}": _edited(lambda m, key=key: m.pop(key))
        for key in ("config", "kind", "blocks", "trained", "rescale_trained")},
 }

@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -503,17 +508,48 @@ def test_explain_query_without_its_options_is_a_usage_error(workdir, query, caps
     assert "requires --" in capsys.readouterr().err
 
 
-def test_truncated_checkpoint_exits_4(workdir, tmp_path, capsys):
+def _with_manifest(raw, edit):
+    """The checkpoint bytes `raw` with its manifest edited."""
+    (mlen,) = struct.unpack("<Q", raw[:8])
+    manifest = json.loads(raw[8:8 + mlen])
+    edit(manifest)
+    mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    return struct.pack("<Q", len(mbytes)) + mbytes + raw[8 + mlen:]
+
+
+def _nan_first_weight(raw):
+    """The checkpoint bytes `raw` with the first value of its first block, a
+    parameter, set to NaN."""
+    (mlen,) = struct.unpack("<Q", raw[:8])
+    return raw[:8 + mlen] + struct.pack("<d", float("nan")) + raw[16 + mlen:]
+
+
+@pytest.mark.parametrize("damage, named", [
+    (lambda raw: raw[:len(raw) - 8], "payload"),
+    (_nan_first_weight, "not finite"),
+    (lambda raw: _with_manifest(raw, lambda m: m.update(rescale_trained={})),
+     "rescale_trained"),
+], ids=["truncated", "NaN weight", "no rescale flags"])
+def test_truncated_checkpoint_exits_4(workdir, tmp_path, damage, named, capsys):
     bad = tmp_path / "bad.ckpt"
-    raw = open(workdir["ckpt"], "rb").read()
-    bad.write_bytes(raw[:len(raw) - 8])
+    bad.write_bytes(damage(open(workdir["ckpt"], "rb").read()))
     assert main(["--out", str(tmp_path), "eval", "--checkpoint", str(bad),
                  "--dataset", workdir["dataset"]]) == 4
-    assert "payload" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: checkpoint") and named in err[0]
 
 
 def test_help_exits_0():
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0), (["train"], 1)],
+                         ids=["help", "train without options"])
+def test_module_entry_point_exits_with_main_code(args, code):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-m", "conceptspace", *args], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == code, run.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -586,13 +622,15 @@ def test_prototype_code_of_wrong_width_exits_5(workdir, tmp_path, capsys):
     (lambda d: d.update(use_local_supervision="no"), "use_local_supervision"),
     (lambda d: d.update(out_dir=5), "out_dir"),
     (lambda d: d.update(out_dir=None), "out_dir"),
+    (lambda d: d.update(anchor_count=33), "anchor_count"),
 ], ids=["invalid value", "invalid plan value", "unknown field", "plan not an object",
         "lam", "betas", "sample_fraction", "distance_filter", "epochs",
         "learning_rate", "batch_size", "split_ratio", "random_edge_max",
         "bijection", "width", "tau", "rescale_momentum", "rescale_eps", "version",
         "float width", "float batch_size", "float n_samples", "bool epochs",
         "three betas", "NaN learning_rate", "string tau", "huge learning_rate",
-        "string use_local_supervision", "number out_dir", "null out_dir"])
+        "string use_local_supervision", "number out_dir", "null out_dir",
+        "anchors above the training split"])
 def test_invalid_config_file_exits_3(tmp_path, edit, named, capsys):
     # the base config is valid: 20 anchors fit in its 32 training samples
     doc = ExperimentConfig(n_samples=40, anchor_count=20).to_dict()
@@ -653,6 +691,15 @@ def _record_1(**fields):
     return edit
 
 
+def _retyped_1(key, cast):
+    """An edit that keeps the value of record 1's `key` and casts its type,
+    e.g. 0 to false or to 0.0."""
+    def edit(d):
+        d["samples"][1][key] = cast(d["samples"][1][key])
+        return d
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: {"version": 1},
     lambda d: {**d, "n_samples": d["n_samples"] - 1},
@@ -665,9 +712,16 @@ def _record_1(**fields):
     _record_1(features=[True] + [0.0] * 9),
     _record_1(features=[10 ** 400] + [0.0] * 9),
     _record_1(bits=[True, False, True, False, True, False]),
+    _retyped_1("global", bool),
+    _retyped_1("local_tab", float),
+    _record_1(colour="red"),
+    lambda d: [d],
+    lambda d: {**d, "bijection": "rotated"},
 ], ids=["version only", "count differs from header", "repeated id",
         "string feature", "float endpoint", "list feature", "bool endpoint",
-        "NaN feature", "bool feature", "huge feature", "bool bits"])
+        "NaN feature", "bool feature", "huge feature", "bool bits",
+        "boolean global", "float local_tab", "unknown record field", "top level an array",
+        "unknown bijection"])
 def test_damaged_dataset_exits_2(workdir, tmp_path, edit, capsys):
     doc = json.loads(open(workdir["dataset"]).read())
     bad = tmp_path / "dataset.json"

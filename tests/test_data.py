@@ -440,10 +440,15 @@ def _saved_doc(tmp_path, samples):
     lambda d: d["samples"][1].update(**{"global": 1 - d["samples"][1]["global"]}),
     lambda d: d["samples"][1].update(family="triangle"),
     lambda d: d.update(samples={}),
+    lambda d: d["samples"][1].update(**{"global": bool(d["samples"][1]["global"])}),
+    lambda d: d["samples"][1].update(local_tab=float(d["samples"][1]["local_tab"])),
+    lambda d: d["samples"][1].update(colour="red"),
+    lambda d: d.update(bijection="rotated"),
 ], ids=["missing header field", "missing samples", "missing record field",
         "count differs from header", "repeated id", "nine nodes",
         "local_tab disagrees", "local_graph disagrees", "global disagrees",
-        "unknown family", "samples not a list"])
+        "unknown family", "samples not a list", "boolean global", "float local_tab",
+        "unknown record field", "unknown bijection"])
 def test_load_rejects_damaged_dataset(tmp_path, thousand, edit):
     doc = _saved_doc(tmp_path, thousand[:5])
     edit(doc)
