@@ -426,19 +426,16 @@ def _record(s: PairedSample) -> dict:
 def save_dataset(samples, path: str, *, seed: int, random_edge_max: int,
                  bijection: str) -> None:
     """One JSON document: header plus a samples array. Round-trip is lossless."""
-    doc = {
-        "version": DATASET_VERSION,
-        "seed": seed,
-        "n_samples": len(samples),
-        "random_edge_max": random_edge_max,
-        "bijection": bijection,
-        "samples": [_record(s) for s in samples],
-    }
+    doc = {**_header(len(samples), seed, random_edge_max, bijection),
+           "samples": [_record(s) for s in samples]}
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
 
 
-_HEADER_FIELDS = ("version", "seed", "n_samples", "random_edge_max", "bijection")
+def _header(n_samples: int, seed: int, random_edge_max: int, bijection: str) -> dict:
+    """Every field of a dataset file but its samples."""
+    return {"version": DATASET_VERSION, "seed": seed, "n_samples": n_samples,
+            "random_edge_max": random_edge_max, "bijection": bijection}
 
 
 def _sample_from_record(rec: dict) -> PairedSample:
@@ -471,8 +468,11 @@ def _sample_from_record(rec: dict) -> PairedSample:
 def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
     """Read a file written by save_dataset. Raises DatasetError when the
     document is not a JSON object of DATASET_VERSION, a header field or
-    `samples` is missing, `samples` is not a list or its length is not
-    n_samples, the bijection is unknown, an id repeats, or a record is not
+    `samples` is missing, `samples` is not a list, the bijection is unknown,
+    the seed or random_edge_max is not an integer, the header is not what
+    save_dataset writes for those samples in types as well as values (an
+    n_samples other than their count or 1000.0 for 1000, a version of true),
+    an id repeats, or a record is not
     what save_dataset writes for its sample: a field is missing or unknown,
     an id, bit or edge endpoint is not an integer (a bool included), a
     feature is not a finite number (a bool is neither), a graph lacks
@@ -484,17 +484,22 @@ def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
         raise DatasetError("dataset is not a JSON object")
     if doc.get("version") != DATASET_VERSION:
         raise DatasetError(f"unsupported dataset version {doc.get('version')}")
-    missing = [k for k in (*_HEADER_FIELDS, "samples") if k not in doc]
+    missing = [k for k in (*_header(0, 0, 0, ""), "samples") if k not in doc]
     if missing:
         raise DatasetError(f"dataset lacks {', '.join(missing)}")
     records = doc["samples"]
     if not isinstance(records, list):
         raise DatasetError("dataset samples is not a list")
-    if doc["n_samples"] != len(records):
-        raise DatasetError(f"dataset header says {doc['n_samples']} samples, "
-                           f"it holds {len(records)}")
-    if doc["bijection"] not in _BIJECTIONS:
+    if not isinstance(doc["bijection"], str) or doc["bijection"] not in _BIJECTIONS:
         raise DatasetError(f"dataset has an unknown bijection {doc['bijection']!r}")
+    for key in ("seed", "random_edge_max"):
+        if not is_integer(doc[key]):
+            raise DatasetError(f"dataset {key} {doc[key]!r} is not an integer")
+    want = _header(len(records), doc["seed"], doc["random_edge_max"], doc["bijection"])
+    header = {k: doc[k] for k in want}
+    note = first_difference(header, want)
+    if note:
+        raise DatasetError(f"dataset header: {note}")
     samples, seen = [], set()
     for pos, rec in enumerate(records):
         try:
@@ -507,5 +512,4 @@ def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
             raise DatasetError(f"dataset id {sample.id} appears more than once")
         seen.add(sample.id)
         samples.append(sample)
-    header = {k: doc[k] for k in _HEADER_FIELDS}
     return samples, header

@@ -26,6 +26,7 @@ import numpy as np
 from .config import MODALITIES, other_modality
 from .data import as_arrays
 from .errors import NoSuchConceptError
+from .nn import distinct_rows
 
 EXPLANATION_KINDS = ("neighborhood", "cross_modal", "substitution")
 
@@ -41,7 +42,7 @@ class ConceptIndex:
     distinct: dict = field(init=False, repr=False)   # modality or "z" -> rows, set once
 
     def __post_init__(self):
-        self.distinct = {name: _distinct_rows(x) for name, x in
+        self.distinct = {name: distinct_rows(x)[0] for name, x in
                          {**self.spaces, "z": self.z}.items() if x is not None}
 
     def __len__(self) -> int:
@@ -52,13 +53,6 @@ class ConceptIndex:
         if pos >= len(self.ids) or self.ids[pos] != sample_id:
             raise KeyError(f"sample {sample_id} not in index")
         return pos
-
-
-def _distinct_rows(x: np.ndarray) -> np.ndarray:
-    """Ascending row numbers of x's byte-distinct rows, each at its first occurrence."""
-    x = np.ascontiguousarray(x)
-    keys = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).ravel()
-    return np.sort(np.unique(keys, return_index=True)[1])
 
 
 def concept_codes(spaces: dict) -> np.ndarray:

@@ -33,6 +33,7 @@ from .nn import (
     MLP,
     Module,
     Sigmoid,
+    distinct_rows,
 )
 from .rng import substream
 
@@ -83,13 +84,21 @@ class GraphEncoder(Module):
         return (batch.graph_x, batch.graph_adj)
 
     def forward(self, h, adj=None, mode: str = "train", rng=None, gumbel_mode=None):
-        if h.ndim != 3 or h.shape[1] < 1:
-            raise ValueError("graph input must be (b, nodes>=1, 1)")
+        """In eval mode (no backward follows) a batch of 3 rows or more runs
+        the convolutions once per byte-distinct graph, then gathers rows."""
+        if h.ndim != 3 or h.shape[1] < 1 or np.shape(adj) != h.shape[:2] + h.shape[1:2]:
+            raise ValueError("graph input must be (b, nodes>=1, 1), adj (b, nodes, nodes)")
         self._n_nodes = h.shape[1]
+        inverse = None
+        if (gumbel_mode or mode) == "eval" and len(h) >= 3:
+            rows, inverse = distinct_rows(np.concatenate([h, adj], axis=2).reshape(len(h), -1))
+            h, adj = h[rows], adj[rows]
         for i, conv in enumerate(self.convs):
             h = conv.forward(h, adj)
             if i < len(self.acts):
                 h = self.acts[i].forward(h)
+        if inverse is not None:
+            h = h[inverse]
         if self.discretize:
             node_concepts = self.gumbel.forward(h, gumbel_mode or mode, rng)
             return node_concepts.sum(axis=1)
@@ -288,10 +297,8 @@ class SharedConceptModel(ConcatHeadModel):
         and at the local heads (local losses, task rows only)."""
         b = d_logits.shape[0]
         rows = self.shared_stage.rows
-        gs = {}
-        for m, g in self.backward_head(d_logits).items():
-            gs[m] = np.zeros((rows, g.shape[1]))
-            gs[m][:b] = g
+        gs = {m: np.pad(g, ((0, rows - b), (0, 0)))    # no head gradient on aux rows
+              for m, g in self.backward_head(d_logits).items()}
         if d_shared:
             for m, extra in d_shared.items():
                 gs[m] += extra

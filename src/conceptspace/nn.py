@@ -193,6 +193,15 @@ class BatchRescale(Module):
         return inv_std / b * (b * g - g.sum(axis=0) - xhat * (g * xhat).sum(axis=0))
 
 
+def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, inverse) of a 2-D x: the ascending first occurrences of its
+    byte-distinct rows (-0.0 and 0.0 differ), and each row's place in rows."""
+    keys = np.ascontiguousarray(x).view(f"V{x.itemsize * x.shape[1]}").ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     z = x - x.max(axis=axis, keepdims=True)
     e = np.exp(z)

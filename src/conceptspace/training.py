@@ -30,7 +30,7 @@ from .data import Batch, DatasetSplit, as_arrays, batches, one_hot
 from .errors import ConfigurationError
 from .explain import concept_codes
 from .model import ConcatHeadModel, SharedConceptModel, _model_blocks
-from .nn import Adam, MLP, sigmoid
+from .nn import Adam, MLP, distinct_rows, sigmoid
 from .rng import substream
 
 MODALITY_PAIRS = tuple(
@@ -164,35 +164,20 @@ def _code_purity_probe(samples, batch_size: int):
     completeness tree: grown to full depth, tree.BinaryCodeTree predicts
     exactly each code's majority label on its training codes.
 
-    A code is [graph shared | tabular shared], and eval mode encodes every
-    row on its own, so each distinct graph and each distinct bit string is
-    encoded once, from the samples that first carry them, in batches of at
-    most batch_size samples (the layers keep their last inputs for backward).
+    A code is [graph shared | tabular shared]. The split is packed once and
+    encoded in batches of at most batch_size samples (the layers keep their
+    last inputs for backward).
     """
-    samples = list(samples)
-    graph_key = [(s.graph.edges, s.graph.node_features) for s in samples]
-    first_graph, first_bits = {}, {}
-    for i, s in enumerate(samples):
-        first_graph.setdefault(graph_key[i], i)
-        first_bits.setdefault(s.tabular.bits, i)
-    rows = sorted({*first_graph.values(), *first_bits.values()})
-    at = {i: k for k, i in enumerate(rows)}
-    row_of = {"graph": [at[first_graph[key]] for key in graph_key],
-              "tabular": [at[first_bits[s.tabular.bits]] for s in samples]}
-    probe = [samples[i] for i in rows]
-    probe_batches = batches(as_arrays(probe, with_aux=False), batch_size)
-    labels = np.array([s.global_label for s in samples])
+    packed = as_arrays(samples, with_aux=False)
+    probe_batches, labels = batches(packed, batch_size), packed.y
 
     def purity(model) -> float:
         spaces = [model.index_spaces(batch) for batch in probe_batches]
-        own = {m: np.concatenate([sp[m] for sp in spaces])[idx] for m, idx in row_of.items()}
-        codes = np.packbits(concept_codes(own), axis=1)
-        # one opaque value per row: np.unique then groups equal codes in 1-D
-        _, cluster = np.unique(codes.view(f"V{codes.shape[1]}").ravel(),
-                               return_inverse=True)
+        cluster = distinct_rows(concept_codes(
+            {m: np.concatenate([sp[m] for sp in spaces]) for m in MODALITIES}))[1]
         counts = np.zeros((cluster.max() + 1, labels.max() + 1))
         np.add.at(counts, (cluster, labels), 1)
-        return float(counts.max(axis=1).sum() / len(samples))
+        return float(counts.max(axis=1).sum() / len(labels))
 
     return purity
 

@@ -717,11 +717,12 @@ def _retyped_1(key, cast):
     _record_1(colour="red"),
     lambda d: [d],
     lambda d: {**d, "bijection": "rotated"},
+    lambda d: {**d, "seed": float(d["seed"])},
 ], ids=["version only", "count differs from header", "repeated id",
         "string feature", "float endpoint", "list feature", "bool endpoint",
         "NaN feature", "bool feature", "huge feature", "bool bits",
         "boolean global", "float local_tab", "unknown record field", "top level an array",
-        "unknown bijection"])
+        "unknown bijection", "float seed"])
 def test_damaged_dataset_exits_2(workdir, tmp_path, edit, capsys):
     doc = json.loads(open(workdir["dataset"]).read())
     bad = tmp_path / "dataset.json"

@@ -444,11 +444,17 @@ def _saved_doc(tmp_path, samples):
     lambda d: d["samples"][1].update(local_tab=float(d["samples"][1]["local_tab"])),
     lambda d: d["samples"][1].update(colour="red"),
     lambda d: d.update(bijection="rotated"),
+    lambda d: d.update(version=True),
+    lambda d: d.update(n_samples=float(d["n_samples"])),
+    lambda d: d.update(seed=float(d["seed"])),
+    lambda d: d.update(random_edge_max=float(d["random_edge_max"])),
+    lambda d: d.update(bijection=["default"]),
 ], ids=["missing header field", "missing samples", "missing record field",
         "count differs from header", "repeated id", "nine nodes",
         "local_tab disagrees", "local_graph disagrees", "global disagrees",
         "unknown family", "samples not a list", "boolean global", "float local_tab",
-        "unknown record field", "unknown bijection"])
+        "unknown record field", "unknown bijection", "boolean version", "float n_samples",
+        "float seed", "float random_edge_max", "bijection a list"])
 def test_load_rejects_damaged_dataset(tmp_path, thousand, edit):
     doc = _saved_doc(tmp_path, thousand[:5])
     edit(doc)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conceptspace import model as model_module
+from conceptspace.baselines import build_baseline
 from conceptspace.config import ExperimentConfig, MODALITIES
-from conceptspace.data import generate_xor_and_xor, whole_batch
+from conceptspace.data import generate_xor_and_xor, translation_batch, whole_batch
 from conceptspace.errors import CheckpointMismatchError
 from conceptspace.model import (
     ConceptStage,
@@ -12,7 +14,7 @@ from conceptspace.model import (
     read_manifest,
     save_model,
 )
-from conceptspace.nn import BatchRescale, sigmoid
+from conceptspace.nn import BatchRescale, distinct_rows, sigmoid
 from conceptspace.rng import substream
 
 cfg = ExperimentConfig()
@@ -231,9 +233,106 @@ def test_empty_graph_rejected(fresh_model):
                                               np.zeros((2, 0, 0)), mode="train")
 
 
+@pytest.mark.parametrize("adj_shape", [(1, 10, 10), (4, 10, 9), (4, 10), None],
+                         ids=["one adjacency for four graphs", "not square", "2-D", "none"])
+def test_adjacency_shape_checked(fresh_model, adj_shape):
+    adj = None if adj_shape is None else np.zeros(adj_shape)
+    for mode in ("train", "eval"):
+        with pytest.raises(ValueError, match="adj"):
+            fresh_model.encoders["graph"].forward(np.zeros((4, 10, 1)), adj, mode=mode,
+                                                  rng=np.random.default_rng(0))
+
+
 def test_tabular_shape_checked(fresh_model):
     with pytest.raises(ValueError):
         fresh_model.encoders["tabular"].forward(np.zeros((4, 5)))
+
+
+# -- eval mode encodes each distinct graph once -----------------------------------------
+
+GRAPH_KINDS = ("shared", "mod_graph", "cbm_graph", "simple", "concept", "relative")
+
+
+@pytest.fixture(scope="module")
+def distinct_graphs():
+    """Samples whose graphs are all distinct, as a batch with aux rows."""
+    samples = generate_xor_and_xor(120, seed=11, random_edge_max=2)
+    firsts = {}
+    for s in samples:
+        firsts.setdefault((s.graph.edges, s.graph.node_features), s)
+    return samples, list(firsts.values()), whole_batch(list(firsts.values()))
+
+
+def eval_ready(kind, samples, batch):
+    """A fresh model of `kind` that eval mode can run: one train-mode forward
+    gives its rescale states statistics, and the relative model anchors."""
+    if kind == "shared":
+        model = SharedConceptModel(cfg, substream(0, "init"))
+        train_forward(model, batch)
+        return model
+    model = build_baseline(kind, cfg)
+    if kind == "relative":
+        model.set_anchors(np.array([s.id for s in samples[:cfg.anchor_count]]), samples)
+    else:
+        model.forward(batch, "train", np.random.default_rng(0))
+    return model
+
+
+def eval_spaces(model, batch) -> dict:
+    if hasattr(model, "index_spaces"):
+        return model.index_spaces(batch)
+    return model.embed(batch, "eval")
+
+
+@pytest.fixture()
+def dedup_calls(monkeypatch):
+    """(rows in, distinct rows out) of each call GraphEncoder makes to distinct_rows."""
+    calls = []
+
+    def recording(x):
+        rows, inverse = distinct_rows(x)
+        calls.append((len(x), len(rows)))
+        return rows, inverse
+
+    monkeypatch.setattr(model_module, "distinct_rows", recording)
+    return calls
+
+
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
+def test_repeated_graphs_encode_as_their_rows(kind, distinct_graphs, dedup_calls):
+    samples, firsts, batch = distinct_graphs
+    model = eval_ready(kind, samples, batch)
+    n = len(batch)
+    idx = np.concatenate([np.arange(n)[::-1], np.arange(0, n, 2)])    # even rows twice
+    want = eval_spaces(model, batch)
+    got = eval_spaces(model, batch.take(idx))
+    assert (len(idx), n) in dedup_calls and (n, n) in dedup_calls
+    assert got.keys() == want.keys() and "graph" in got
+    for m in got:
+        assert got[m].tobytes() == want[m][idx].tobytes()
+
+    # the graph slot of a translation batch holds the 4 canonical family graphs
+    dedup_calls.clear()
+    keys = [s.tabular.bits[:2] for s in firsts]
+    rows = sorted({keys.index(k) for k in keys})
+    translated = translation_batch(firsts, packed=batch)
+    got = eval_spaces(model, translated)["graph"]
+    want = eval_spaces(model, translated.take(np.array(rows)))["graph"]
+    assert dedup_calls[0] == (n, 4) and len(rows) == 4
+    assert got.tobytes() == want[[rows.index(keys.index(k)) for k in keys]].tobytes()
+
+
+def test_small_batches_and_training_skip_the_dedup(distinct_graphs, dedup_calls):
+    samples, _, batch = distinct_graphs
+    model = eval_ready("shared", samples, batch)
+    twice = batch.take(np.array([0, 0, 1, 1]))
+    train_forward(model, twice, with_aux=True)
+    model.forward(twice, "train", gumbel_mode="soft")
+    for rows in ([0], [0, 1], [1, 2]):                 # serve's single-query path
+        model.index_spaces(twice.take(np.array(rows)))
+    assert dedup_calls == []
+    model.index_spaces(twice.take(np.array([0, 1, 2])))
+    assert dedup_calls == [(3, 2)]
 
 
 # -- permutation equivariance ---------------------------------------------------------

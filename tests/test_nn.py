@@ -9,6 +9,7 @@ from conceptspace.nn import (
     LeakyReLU,
     Linear,
     MLP,
+    distinct_rows,
     fan_in_uniform,
     one_hot_argmax,
     sigmoid,
@@ -369,3 +370,20 @@ def test_mlp_param_names_are_prefixed():
     mlp = MLP(3, 4, 2, rng, "head")
     names = set(mlp.parameters())
     assert names == {"head.lin1.W", "head.lin1.b", "head.lin2.W", "head.lin2.b"}
+
+
+# -- distinct rows ----------------------------------------------------------------
+
+def test_distinct_rows_are_first_occurrences_with_their_inverse():
+    x = rng.normal(size=(5, 3))[[3, 1, 3, 0, 1, 4, 4, 2]]
+    for view in (x, x[:, ::2]):                  # a strided view as well
+        rows, inverse = distinct_rows(view)
+        want = [k for k in range(len(view))
+                if not any(view[k].tobytes() == view[j].tobytes() for j in range(k))]
+        assert rows.tolist() == want == [0, 1, 3, 5, 7]
+        assert view[rows][inverse].tobytes() == np.ascontiguousarray(view).tobytes()
+
+
+def test_distinct_rows_keep_signed_zeros_apart():
+    rows, inverse = distinct_rows(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))
+    assert rows.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0]
