@@ -166,6 +166,8 @@ class ExperimentConfig:
             raise ValueError("n_classes must be 2: every label is binary")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        if self.leaky_slope > 1:
+            raise ValueError("leaky_slope must be at most 1")
         n_train = round(self.n_samples * self.split_ratio)   # as data.split counts
         if n_train < 2 or n_train == self.n_samples:
             raise ValueError(f"split_ratio leaves {n_train} of {self.n_samples} samples "

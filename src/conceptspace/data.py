@@ -352,7 +352,9 @@ def as_arrays(samples, bijection: str = "default", with_aux: bool = True) -> Bat
     n = len(samples)
     graph_x = np.array([s.graph.node_features for s in samples],
                        dtype=float).reshape(n, NODE_COUNT, 1)
-    graph_adj = _adjacency_stack(NODE_COUNT, [s.graph.edges for s in samples])
+    distinct = {}          # each distinct edge tuple -> its row in the stack
+    rows = [distinct.setdefault(s.graph.edges, len(distinct)) for s in samples]
+    graph_adj = _adjacency_stack(NODE_COUNT, list(distinct))[rows]
     tab_x = np.array([s.tabular.bits for s in samples], dtype=float).reshape(n, N_BITS)
     y = np.array([s.global_label for s in samples], dtype=np.int64)
     batch = Batch(

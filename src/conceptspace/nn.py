@@ -89,7 +89,9 @@ class Linear(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return x @ self.W + self.b
+        y = x @ self.W
+        y += self.b
+        return y
 
     def backward(self, g: np.ndarray) -> np.ndarray:
         self.dW += self._x.T @ g
@@ -115,15 +117,24 @@ class GraphConv(Linear):
 
 
 class LeakyReLU:
+    """x where x > 0, else slope * x. The forward is max(x, slope * x),
+    which is that only for slope <= 1."""
+
     def __init__(self, slope: float = 0.01):
+        if not slope <= 1:
+            raise ValueError(f"LeakyReLU slope must be at most 1, not {slope!r}")
         self.slope = slope
 
     def forward(self, x):
         self._mask = x > 0
-        return np.where(self._mask, x, self.slope * x)
+        y = self.slope * x
+        np.maximum(x, y, out=y)
+        return y
 
     def backward(self, g):
-        return np.where(self._mask, g, self.slope * g)
+        y = self.slope * g
+        np.copyto(y, g, where=self._mask)
+        return y
 
 
 class Sigmoid:
@@ -136,11 +147,13 @@ class Sigmoid:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere: with
+    e = exp(-|x|), max(e, x >= 0) / (1 + e). min(x, -x) keeps a NaN's sign."""
+    e = np.minimum(x, -x, dtype=float)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -183,7 +196,9 @@ class BatchRescale(Module):
             if not self.trained:
                 raise RuntimeError("rescale state has no statistics yet; train first")
             self._cache = None
-            return (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
+            y = x - self.running_mean
+            y /= np.sqrt(self.running_var + self.eps)
+            return y
         raise ValueError(f"unknown mode {mode!r}")
 
     def backward(self, g: np.ndarray) -> np.ndarray:

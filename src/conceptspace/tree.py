@@ -22,15 +22,13 @@ class _Node:
     right: "_Node | None" = None    # feature == 1 branch
 
 
-def _gini(y: np.ndarray) -> float:
-    _, counts = np.unique(y, return_counts=True)
-    p = counts / len(y)
-    return 1.0 - float((p * p).sum())
-
-
-def _majority(y: np.ndarray) -> int:
-    values, counts = np.unique(y, return_counts=True)
-    return int(values[counts == counts.max()].min())
+def _gini(counts: np.ndarray) -> np.ndarray:
+    """Gini impurity of each row of label counts (rows, labels). The squares
+    sum as p0 + (p1 + p2 + ...), the order np.sum takes over the nonzero
+    ones for up to 3 labels (a zero term changes no sum)."""
+    p = counts / counts.sum(axis=1, keepdims=True)
+    p *= p
+    return 1.0 - (p[:, 0] + p[:, 1:].sum(axis=1))
 
 
 class BinaryCodeTree:
@@ -39,32 +37,30 @@ class BinaryCodeTree:
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "BinaryCodeTree":
         x = np.asarray(x, dtype=np.uint8)
-        y = np.asarray(y)
-        self.root = self._build(x, y, np.arange(len(y)))
+        values, y = np.unique(np.asarray(y), return_inverse=True)
+        self.root = self._build(x, np.eye(len(values))[y], values, np.arange(len(y)))
         return self
 
-    def _build(self, x, y, idx) -> _Node:
-        labels = y[idx]
-        if len(np.unique(labels)) == 1:
-            return _Node(label=int(labels[0]))
+    def _build(self, x, onehot, values, idx) -> _Node:
+        """onehot holds each row's label as a 0/1 row over the sorted values."""
+        hot = onehot[idx]
+        counts = hot.sum(axis=0, keepdims=True)
         cols = x[idx]
         varying = np.flatnonzero(cols.min(axis=0) != cols.max(axis=0))
-        if len(varying) == 0:
-            return _Node(label=_majority(labels))
-        parent = _gini(labels)
+        if np.count_nonzero(counts) == 1 or len(varying) == 0:
+            return _Node(label=int(values[counts.argmax()]))   # first max: smallest label
+        ones = cols[:, varying].T.astype(float) @ hot   # label counts where f == 1
+        w = ones.sum(axis=1) / len(idx)
+        gains = _gini(counts) - (1 - w) * _gini(counts - ones) - w * _gini(ones)
         best_f, best_gain = -1, -1.0
-        for f in varying:            # ascending order: ties keep the lowest index
-            mask = cols[:, f] == 1
-            n1 = mask.sum()
-            w = n1 / len(idx)
-            gain = parent - (1 - w) * _gini(labels[~mask]) - w * _gini(labels[mask])
+        for f, gain in zip(varying, gains):   # ascending: ties keep the lowest index
             if gain > best_gain + 1e-15:
                 best_f, best_gain = int(f), gain
         mask = cols[:, best_f] == 1
         return _Node(
             feature=best_f,
-            left=self._build(x, y, idx[~mask]),
-            right=self._build(x, y, idx[mask]),
+            left=self._build(x, onehot, values, idx[~mask]),
+            right=self._build(x, onehot, values, idx[mask]),
         )
 
     def predict(self, x: np.ndarray) -> np.ndarray:

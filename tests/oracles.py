@@ -5,6 +5,10 @@ label enumeration, explicit shortest-path enumeration for betweenness, naive
 sigmoid-then-log cross-entropy, linear scans for every retrieval query, and
 majority-vote-per-cluster for completeness. None of it shares code with the
 implementations under test.
+
+The kernel references at the end are the plain expressions that faster
+kernels in conceptspace.nn and conceptspace.tree replaced; the library must
+give their bytes.
 """
 
 from itertools import combinations
@@ -120,3 +124,61 @@ def majority_vote_completeness(train_codes, train_labels, test_codes,
         pred = int(values[counts == counts.max()].min())
         correct += int(pred == y)
     return correct / len(test_labels)
+
+
+# -- kernel references -------------------------------------------------------------
+
+def linear_reference(x, W, b):
+    return x @ W + b
+
+
+def leaky_relu_reference(x, slope):
+    return np.where(x > 0, x, slope * x)
+
+
+def leaky_relu_backward_reference(x, g, slope):
+    return np.where(x > 0, g, slope * g)
+
+
+def sigmoid_reference(x):
+    """Each side of 0 in its overflow-free form, scattered by a boolean index."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def rescale_eval_reference(x, mean, var, eps):
+    return (x - mean) / np.sqrt(var + eps)
+
+
+def gini_tree_reference(x, y):
+    """The Gini tree grown one feature at a time, as nested tuples:
+    ("leaf", label) or (feature, left for 0, right for 1)."""
+    def gini(labels):
+        _, counts = np.unique(labels, return_counts=True)
+        p = counts / len(labels)
+        return 1.0 - float((p * p).sum())
+
+    def build(idx):
+        labels = y[idx]
+        values, counts = np.unique(labels, return_counts=True)
+        cols = x[idx]
+        varying = [f for f in range(x.shape[1]) if cols[:, f].min() != cols[:, f].max()]
+        if len(values) == 1 or not varying:
+            return ("leaf", int(values[counts == counts.max()].min()))
+        parent = gini(labels)
+        best_f, best_gain = -1, -1.0
+        for f in varying:
+            mask = cols[:, f] == 1
+            w = mask.sum() / len(idx)
+            gain = parent - (1 - w) * gini(labels[~mask]) - w * gini(labels[mask])
+            if gain > best_gain + 1e-15:
+                best_f, best_gain = f, gain
+        mask = cols[:, best_f] == 1
+        return (best_f, build(idx[~mask]), build(idx[mask]))
+
+    x, y = np.asarray(x, dtype=np.uint8), np.asarray(y)
+    return build(np.arange(len(y)))

@@ -1,0 +1,38 @@
+"""tools/abtime.py: its sign test, and one short A/A run in subprocesses."""
+
+import importlib.util
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "tools" / "abtime.py"
+
+spec = importlib.util.spec_from_file_location("abtime", SCRIPT)
+abtime = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(abtime)
+
+
+@pytest.mark.parametrize("slower, n, p", [
+    (0, 1, 1.0), (1, 1, 1.0), (5, 10, 1.0), (0, 10, 2 / 1024), (10, 10, 2 / 1024),
+    (2, 10, 2 * 56 / 1024), (8, 10, 2 * 56 / 1024), (0, 0, 1.0)])
+def test_sign_test_is_the_two_sided_binomial_tail(slower, n, p):
+    assert abtime.sign_test_p(slower, n) == pytest.approx(p)
+
+
+def test_the_done_when_counts_of_60_pairs():
+    assert abtime.sign_test_p(41, 60) < 0.01 < abtime.sign_test_p(40, 60)
+
+
+def test_a_run_of_one_tree_against_itself_prints_its_summary():
+    out = subprocess.run([sys.executable, str(SCRIPT), str(ROOT), str(ROOT),
+                          "--unit", "serve_op", "--pairs", "2"],
+                         capture_output=True, text=True, timeout=300, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0] == "unit serve_op, 2 pairs after 5 warm-up units per tree, one BLAS thread"
+    assert re.fullmatch(r"A .+: median [\d.]+ ms \[[\d.]+, [\d.]+\]", lines[1])
+    assert re.fullmatch(r"B/A ratio: median [\d.]+ \[IQR [\d.]+, [\d.]+\]; "
+                        r"B slower in [012] of 2 pairs; sign test p = [\d.e-]+", lines[3])

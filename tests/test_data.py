@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -323,6 +323,31 @@ def test_packed_adjacency_has_the_per_sample_bytes(thousand):
     for s in (thousand[0], edgeless[0]):
         assert as_arrays([s], with_aux=False).graph_adj[0].tobytes() == per_sample(s)
     assert np.array_equal(as_arrays(edgeless[:1]).graph_adj[0], np.eye(NODE_COUNT))
+
+
+def test_repeated_edge_sets_pack_to_the_per_sample_bytes(tmp_path, thousand):
+    # samples sharing an edge set, also with the pairs listed in another
+    # order and as loaded from a file, in both list orders
+    by_edges = {}
+    for s in thousand:
+        by_edges.setdefault(s.graph.edges, []).append(s)
+    shared = [group for group in by_edges.values() if len(group) >= 3][:6]
+    assert len(shared) == 6
+    some = [s for group in shared for s in group[:3]]
+    reordered = [replace(s, graph=replace(s.graph, edges=s.graph.edges[::-1]))
+                 for s in some if len(s.graph.edges) > 1]
+    assert reordered
+    path = tmp_path / "d.json"
+    save_dataset(some, str(path), seed=0, random_edge_max=2, bijection="default")
+    loaded, _ = load_dataset(str(path))
+    mixed = some + reordered + loaded + some[::2]
+    for samples in (mixed, mixed[::-1]):
+        for with_aux in (True, False):
+            packed = as_arrays(samples, with_aux=with_aux)
+            assert packed.graph_adj.shape == (len(samples), NODE_COUNT, NODE_COUNT)
+            for k, s in enumerate(samples):
+                want = normalized_adjacency(NODE_COUNT, s.graph.edges)
+                assert packed.graph_adj[k].tobytes() == want.tobytes()
 
 
 def test_aux_padding_is_a_fresh_draw(thousand):

@@ -21,7 +21,7 @@ from conceptspace.evaluation import (
 from conceptspace.explain import ConceptIndex, build_index
 from conceptspace.tree import BinaryCodeTree
 
-from oracles import majority_vote_completeness
+from oracles import gini_tree_reference, majority_vote_completeness
 
 
 class StubModel:
@@ -161,6 +161,41 @@ def test_tree_splits_through_zero_gain():
     tree = BinaryCodeTree().fit(codes, labels)
     pred = tree.predict(np.array([[0, 0], [0, 1]], dtype=np.uint8))
     assert pred.tolist() == [0, 0]   # each cluster's tied vote -> smallest label
+
+
+def tree_tuples(node):
+    if node.label >= 0:
+        return ("leaf", node.label)
+    return (node.feature, tree_tuples(node.left), tree_tuples(node.right))
+
+
+def random_code_sets(count: int, seed: int = 11):
+    """(codes, labels) with 1-20 features and 2-3 labels. Rows repeat a few
+    distinct codes, and some columns are copies or complements of others,
+    so equal gains (ties) are common."""
+    r = np.random.default_rng(seed)
+    for _ in range(count):
+        n_features = int(r.integers(1, 21))
+        pool = r.integers(0, 2, size=(int(r.integers(2, 12)), n_features))
+        codes = pool[r.integers(0, len(pool), size=int(r.integers(4, 160)))]
+        for f in range(1, n_features):
+            pick = r.random()
+            if pick < 0.2:
+                codes[:, f] = codes[:, r.integers(0, f)]
+            elif pick < 0.35:
+                codes[:, f] = 1 - codes[:, r.integers(0, f)]
+        values = r.choice([0, 1, 2, 4, 7], size=int(r.integers(2, 4)), replace=False)
+        labels = values[r.integers(0, len(values), size=len(codes))]
+        yield codes.astype(np.uint8), labels
+
+
+def test_tree_equals_the_per_feature_reference_node_for_node():
+    grown = 0
+    for codes, labels in random_code_sets(400):
+        tree = BinaryCodeTree().fit(codes, labels)
+        assert tree_tuples(tree.root) == gini_tree_reference(codes, labels)
+        grown += tree.root.label < 0
+    assert grown >= 300         # that many trees split at least once
 
 
 def test_model_codes_shapes(small_model, small_split):

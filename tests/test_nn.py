@@ -16,6 +16,14 @@ from conceptspace.nn import (
     softmax,
 )
 
+from oracles import (
+    leaky_relu_backward_reference,
+    leaky_relu_reference,
+    linear_reference,
+    rescale_eval_reference,
+    sigmoid_reference,
+)
+
 rng = np.random.default_rng(42)
 
 
@@ -387,3 +395,83 @@ def test_distinct_rows_are_first_occurrences_with_their_inverse():
 def test_distinct_rows_keep_signed_zeros_apart():
     rows, inverse = distinct_rows(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))
     assert rows.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0]
+
+
+# -- kernels against their reference expressions, byte for byte --------------------
+
+# signed zeros, subnormals, large values and NaNs of both signs
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.3e-308, 1e4, -1e4,
+                    np.nan, -np.nan, 1.0, -1.0, 0.5, -0.5])
+
+
+def kernel_inputs():
+    """The special values alone and repeated (so they reach the vectorized
+    loop bodies and their tails), and random arrays of several shapes."""
+    r = np.random.default_rng(7)
+    yield SPECIAL
+    yield np.tile(SPECIAL, 9)[r.permutation(9 * SPECIAL.size)].reshape(15, 9)
+    for shape in [(1,), (2,), (7,), (13, 5), (64, 30), (3, 10, 30)]:
+        yield r.normal(size=shape) * 10.0 ** r.integers(-3, 4)
+
+
+def same_bytes(got, want) -> bool:
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0, -0.2])
+def test_leaky_relu_has_the_bytes_of_the_where_form(slope):
+    r = np.random.default_rng(3)
+    for x in kernel_inputs():
+        act = LeakyReLU(slope)
+        assert same_bytes(act.forward(x), leaky_relu_reference(x, slope))
+        for g in (r.normal(size=x.shape), np.resize(SPECIAL, x.shape)):
+            assert same_bytes(act.backward(g), leaky_relu_backward_reference(x, g, slope))
+
+
+def test_leaky_relu_at_slope_zero_turns_plus_inf_into_nan():
+    # max(x, 0 * x) meets 0 * inf = NaN: the one value where the max form
+    # differs from the where form, which gives inf
+    x = np.array([np.inf, -np.inf, 1.0])
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(LeakyReLU(0.0).forward(x), [np.nan, np.nan, 1.0], equal_nan=True)
+        assert np.array_equal(leaky_relu_reference(x, 0.0), [np.inf, np.nan, 1.0],
+                              equal_nan=True)
+    assert same_bytes(LeakyReLU(0.01).forward(x), leaky_relu_reference(x, 0.01))
+
+
+@pytest.mark.parametrize("slope", [1.0 + 1e-12, 2.0, np.inf, np.nan])
+def test_leaky_relu_rejects_a_slope_above_one(slope):
+    with pytest.raises(ValueError, match="slope"):
+        LeakyReLU(slope)
+
+
+def test_sigmoid_has_the_bytes_of_the_boolean_index_form():
+    for x in [*kernel_inputs(), np.array([np.inf, -np.inf, 745.2, -745.2, 710.0, -710.0])]:
+        assert same_bytes(sigmoid(x), sigmoid_reference(x))
+
+
+def test_sigmoid_of_integers_is_float():
+    got = sigmoid(np.array([0, 1, -1]))
+    assert got.dtype == np.float64
+    assert same_bytes(got, sigmoid(np.array([0.0, 1.0, -1.0])))
+    assert got[0] == 0.5 and 0.5 < got[1] < 1 and got[1] + got[2] == pytest.approx(1.0)
+
+
+def test_linear_forward_has_the_bytes_of_product_plus_bias():
+    r = np.random.default_rng(5)
+    for x in kernel_inputs():
+        x = x.reshape(-1, x.shape[-1])
+        lin = Linear(x.shape[1], 4, r, "lin")
+        lin.b[0] = -0.0
+        assert same_bytes(lin.forward(x), linear_reference(x, lin.W, lin.b))
+
+
+def test_eval_rescale_has_the_bytes_of_the_reference():
+    r = np.random.default_rng(9)
+    for x in kernel_inputs():
+        x = x.reshape(-1, x.shape[-1])
+        norm = BatchRescale(x.shape[1], "t")
+        norm.forward(r.normal(size=(5, x.shape[1])) * 3, "train")
+        assert same_bytes(norm.forward(x, "eval"),
+                          rescale_eval_reference(x, norm.running_mean, norm.running_var,
+                                                 norm.eps))

@@ -1,0 +1,161 @@
+"""Paired A/B timing of one unit of work in two source trees.
+
+    python tools/abtime.py A_TREE B_TREE --unit serve_op --pairs 60
+    python tools/abtime.py A_TREE B_TREE --unit train_epoch --seed 5 --pairs 60
+
+Each tree is a checkout with the package under `src/` (`git archive` makes
+one of another commit). One long-lived worker process per tree imports that
+tree's package, sets its unit up once and then runs it on request, with BLAS
+pinned to one thread. After 5 warm-up units each, the workers run units
+alternately, never two at once, and each pair swaps which side goes first.
+
+Units (public names only, so any two commits of the package can be compared):
+- `serve_op`: `build_index` of the training split plus `evaluate_model`, on
+  the trained checkpoint the benchmark ships and the dataset regenerated
+  from its config (the benchmark's `serve` operation). `--seed` is not used.
+- `train_epoch`: `train()` of a fresh default shared model, seeded by
+  `--seed`, with `plan.epochs=1` on the default dataset of that seed.
+
+It prints each side's median unit time and, over the pairs, the median and
+interquartile range of the B/A time ratio, the number of pairs in which B
+was slower, and the two-sided sign-test p-value of that count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+CHECKPOINT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench",
+                          "fixture", "shared_seed0.ckpt")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+WARMUP = 5
+
+
+def _dataset(cs, cfg):
+    samples = cs.generate_xor_and_xor(cfg.n_samples, cfg.seed, cfg.random_edge_max,
+                                      cfg.bijection)
+    return cs.split(samples, cfg.split_ratio, cfg.seed)
+
+
+def serve_op(cs, seed: int):
+    model = cs.load_model(CHECKPOINT)
+    cfg = model.config
+    ds = _dataset(cs, cfg)
+
+    def run() -> float:
+        t0 = time.perf_counter()
+        index = cs.build_index(model, ds.train)
+        cs.evaluate_model(model, index, ds, cfg.hash())
+        return time.perf_counter() - t0
+    return run
+
+
+def train_epoch(cs, seed: int):
+    cfg = cs.ExperimentConfig(seed=seed, plan=cs.TrainPlan(epochs=1))
+    ds = _dataset(cs, cfg)
+
+    def run() -> float:
+        model = cs.SharedConceptModel(cfg, np.random.default_rng(seed))
+        t0 = time.perf_counter()
+        cs.train(model, ds, cfg)
+        return time.perf_counter() - t0
+    return run
+
+
+UNITS = {"serve_op": serve_op, "train_epoch": train_epoch}
+
+
+def worker(tree: str, unit: str, seed: int) -> None:
+    """Answer each "run" line on stdin with one unit's time in seconds."""
+    src = os.path.abspath(os.path.join(tree, "src"))
+    sys.path.insert(0, src)
+    import conceptspace as cs
+
+    if not os.path.abspath(cs.__file__).startswith(src + os.sep):
+        raise SystemExit(f"conceptspace was imported from {cs.__file__}, not {src}")
+    run = UNITS[unit](cs, seed)
+    print("ready", flush=True)
+    for line in sys.stdin:
+        if line.strip() != "run":
+            return
+        print(repr(run()), flush=True)
+
+
+class Worker:
+    def __init__(self, tree: str, unit: str, seed: int):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        env.update({v: "1" for v in BLAS_THREAD_VARS})
+        self.proc = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--worker", tree, unit, str(seed)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+        if self.proc.stdout.readline().strip() != "ready":
+            raise SystemExit(f"the worker for {tree} did not start")
+
+    def run(self) -> float:
+        self.proc.stdin.write("run\n")
+        self.proc.stdin.flush()
+        return float(self.proc.stdout.readline())
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def sign_test_p(slower: int, n: int) -> float:
+    """Two-sided binomial p-value of `slower` of n pairs at probability 1/2."""
+    k = max(slower, n - slower)
+    return min(1.0, 2 * sum(math.comb(n, i) for i in range(k, n + 1)) / 2 ** n)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--worker"]:                # --worker TREE UNIT SEED
+        tree, unit, seed = argv[1:]
+        worker(tree, unit, int(seed))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("a_tree")
+    parser.add_argument("b_tree")
+    parser.add_argument("--unit", choices=sorted(UNITS), required=True)
+    parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=60)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    sides = {side: Worker(tree, args.unit, args.seed)
+             for side, tree in (("A", args.a_tree), ("B", args.b_tree))}
+    try:
+        for _ in range(WARMUP):
+            for w in sides.values():
+                w.run()
+        times = {"A": [], "B": []}
+        for i in range(args.pairs):
+            for side in ("AB" if i % 2 == 0 else "BA"):
+                times[side].append(sides[side].run())
+    finally:
+        for w in sides.values():
+            w.close()
+    a, b = np.array(times["A"]), np.array(times["B"])
+    ratio = b / a
+    slower, ties = int((ratio > 1).sum()), int((ratio == 1).sum())
+    print(f"unit {args.unit}, {args.pairs} pairs after {WARMUP} warm-up units "
+          "per tree, one BLAS thread")
+    for side, tree, t in (("A", args.a_tree, a), ("B", args.b_tree, b)):
+        print(f"{side} {tree}: median {np.median(t) * 1e3:.2f} ms "
+              f"[{np.percentile(t, 25) * 1e3:.2f}, {np.percentile(t, 75) * 1e3:.2f}]")
+    q1, q3 = np.percentile(ratio, [25, 75])
+    print(f"B/A ratio: median {np.median(ratio):.4f} [IQR {q1:.4f}, {q3:.4f}]; "
+          f"B slower in {slower} of {args.pairs} pairs; sign test p = "
+          f"{sign_test_p(slower, args.pairs - ties):.2g}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
