@@ -34,8 +34,9 @@ from math import inf
 import numpy as np
 
 from .baselines import BASELINE_KINDS, build_baseline, train_baseline
-from .config import MODALITIES, REGIMES, ExperimentConfig, load_config, other_modality
-from .data import generate_xor_and_xor, load_dataset, save_dataset, split
+from .config import (MODALITIES, REGIMES, ExperimentConfig, first_difference, load_config,
+                     other_modality)
+from .data import dataset_header, generate_xor_and_xor, load_dataset, save_dataset, split
 from .errors import (
     CheckpointMismatchError,
     ConfigurationError,
@@ -124,12 +125,12 @@ def _train_one(cfg: ExperimentConfig, samples, kind: str):
 
 
 def _matching_dataset(path: str, cfg: ExperimentConfig, error):
-    """The dataset's samples; raises `error` unless it is the one `cfg` describes."""
+    """The samples, if the header is what generate writes for `cfg`; else raises `error`."""
     samples, header = load_dataset(path)
-    fp = cfg.dataset_fingerprint()
-    got = {k: header[k] for k in fp}
-    if got != fp:
-        raise error(f"dataset is {got}, but the config describes {fp}")
+    note = first_difference(header, dataset_header(cfg.n_samples, cfg.seed,
+                                                   cfg.random_edge_max, cfg.bijection))
+    if note:
+        raise error(f"dataset does not match the config: {note}")
     return samples
 
 

@@ -57,6 +57,11 @@ def first_difference(got: dict, want: dict, prefix: str = "") -> str | None:
     return None
 
 
+def train_size(n_samples: int, ratio: float) -> int:
+    """How many of n_samples the training part of a split at `ratio` holds."""
+    return int(round(ratio * n_samples))
+
+
 def _check_types(record) -> None:
     """Every int field of a config dataclass holds an integer, every float
     field a finite real number (an integer will do), every bool field a bool
@@ -168,7 +173,7 @@ class ExperimentConfig:
             raise ValueError("tau must be positive")
         if self.leaky_slope > 1:
             raise ValueError("leaky_slope must be at most 1")
-        n_train = round(self.n_samples * self.split_ratio)   # as data.split counts
+        n_train = train_size(self.n_samples, self.split_ratio)
         if n_train < 2 or n_train == self.n_samples:
             raise ValueError(f"split_ratio leaves {n_train} of {self.n_samples} samples "
                              "to train; at least 2 must train and 1 must test")
@@ -223,15 +228,6 @@ class ExperimentConfig:
 
     def hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
-
-    def dataset_fingerprint(self) -> dict:
-        """The fields that identify a generated dataset."""
-        return {
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "random_edge_max": self.random_edge_max,
-            "bijection": self.bijection,
-        }
 
 
 def load_config(path: str, **overrides) -> ExperimentConfig:

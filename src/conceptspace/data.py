@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import first_difference, is_finite_real, is_integer
+from .config import first_difference, is_finite_real, is_integer, train_size
 from .errors import DatasetError
 from .rng import substream
 
@@ -231,7 +231,7 @@ def split(samples, ratio: float, seed: int) -> DatasetSplit:
         raise ValueError("ratio must be in (0, 1)")
     rng = substream(seed, "data")
     order = rng.permutation(len(samples))
-    n_train = int(round(ratio * len(samples)))
+    n_train = train_size(len(samples), ratio)
     train = tuple(samples[i] for i in order[:n_train])
     test = tuple(samples[i] for i in order[n_train:])
     return DatasetSplit(train=train, test=test, seed=seed)
@@ -267,26 +267,19 @@ def tabular_rendering(sample: PairedSample, bijection: str = "default") -> tuple
 
 @functools.lru_cache(maxsize=len(FAMILIES))
 def _canonical_graph(family: GraphFamily):
-    """A family's canonical graph as (edges, betweenness features, normalized
-    adjacency). It depends on the family alone, so it is computed once per
-    family; the arrays are read-only because every caller shares them."""
+    """A family's canonical graph as (edges, betweenness features). It
+    depends on the family alone, so it is computed once per family; the
+    features are read-only because every caller shares them."""
     edges = tuple(sorted(_family_edges(family)))
     feats = betweenness(NODE_COUNT, edges)
-    adj = normalized_adjacency(NODE_COUNT, edges)
     feats.setflags(write=False)
-    adj.setflags(write=False)
-    return edges, feats, adj
-
-
-def _rendered_graph(sample: PairedSample, bijection: str):
-    return _canonical_graph(bits_to_family(sample.tabular.bits[:2], bijection))
+    return edges, feats
 
 
 def graph_rendering(sample: PairedSample, bijection: str = "default"):
     """The tabular content as a canonical family graph (edges, features).
     The features are a shared read-only array."""
-    edges, feats, _ = _rendered_graph(sample, bijection)
-    return edges, feats
+    return _canonical_graph(bits_to_family(sample.tabular.bits[:2], bijection))
 
 
 # -- batching ----------------------------------------------------------------
@@ -345,16 +338,21 @@ def one_hot(labels: np.ndarray) -> np.ndarray:
     return onehot
 
 
+def _pack(graphs) -> tuple[np.ndarray, np.ndarray]:
+    """(graph_x, graph_adj) of a list of (edges, features) graphs, with one
+    normalized adjacency per distinct edge tuple, gathered into the rows."""
+    distinct = {}          # each distinct edge tuple -> its row in the stack
+    rows = [distinct.setdefault(edges, len(distinct)) for edges, _ in graphs]
+    x = np.array([feats for _, feats in graphs], dtype=float)
+    return x.reshape(len(x), NODE_COUNT, 1), _adjacency_stack(NODE_COUNT, list(distinct))[rows]
+
+
 def as_arrays(samples, bijection: str = "default", with_aux: bool = True) -> Batch:
     """Pack a list of samples into one model-ready Batch, in list order.
     with_aux=False leaves out the translation renderings (the aux fields),
     which eval-mode encoding never reads."""
     n = len(samples)
-    graph_x = np.array([s.graph.node_features for s in samples],
-                       dtype=float).reshape(n, NODE_COUNT, 1)
-    distinct = {}          # each distinct edge tuple -> its row in the stack
-    rows = [distinct.setdefault(s.graph.edges, len(distinct)) for s in samples]
-    graph_adj = _adjacency_stack(NODE_COUNT, list(distinct))[rows]
+    graph_x, graph_adj = _pack([(s.graph.edges, s.graph.node_features) for s in samples])
     tab_x = np.array([s.tabular.bits for s in samples], dtype=float).reshape(n, N_BITS)
     y = np.array([s.global_label for s in samples], dtype=np.int64)
     batch = Batch(
@@ -364,9 +362,7 @@ def as_arrays(samples, bijection: str = "default", with_aux: bool = True) -> Bat
                "tabular": np.array([s.local_label_tab for s in samples], dtype=np.int64)})
     if not with_aux:
         return batch
-    rendered = [_rendered_graph(s, bijection) for s in samples]
-    aux_graph_x = np.array([feats for _, feats, _ in rendered]).reshape(graph_x.shape)
-    aux_graph_adj = np.array([adj for _, _, adj in rendered]).reshape(graph_adj.shape)
+    aux_graph_x, aux_graph_adj = _pack([graph_rendering(s, bijection) for s in samples])
     aux_tab_x = np.array([tabular_rendering(s, bijection) for s in samples], dtype=float)
     return replace(batch, aux_graph_x=aux_graph_x, aux_graph_adj=aux_graph_adj,
                    aux_tab_x=aux_tab_x.reshape(tab_x.shape))
@@ -428,14 +424,15 @@ def _record(s: PairedSample) -> dict:
 def save_dataset(samples, path: str, *, seed: int, random_edge_max: int,
                  bijection: str) -> None:
     """One JSON document: header plus a samples array. Round-trip is lossless."""
-    doc = {**_header(len(samples), seed, random_edge_max, bijection),
+    doc = {**dataset_header(len(samples), seed, random_edge_max, bijection),
            "samples": [_record(s) for s in samples]}
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
 
 
-def _header(n_samples: int, seed: int, random_edge_max: int, bijection: str) -> dict:
-    """Every field of a dataset file but its samples."""
+def dataset_header(n_samples: int, seed: int, random_edge_max: int, bijection: str) -> dict:
+    """Every field of a dataset file but its samples: what save_dataset writes
+    and load_dataset checks, and what a dataset generated for a config holds."""
     return {"version": DATASET_VERSION, "seed": seed, "n_samples": n_samples,
             "random_edge_max": random_edge_max, "bijection": bijection}
 
@@ -486,7 +483,7 @@ def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
         raise DatasetError("dataset is not a JSON object")
     if doc.get("version") != DATASET_VERSION:
         raise DatasetError(f"unsupported dataset version {doc.get('version')}")
-    missing = [k for k in (*_header(0, 0, 0, ""), "samples") if k not in doc]
+    missing = [k for k in (*dataset_header(0, 0, 0, ""), "samples") if k not in doc]
     if missing:
         raise DatasetError(f"dataset lacks {', '.join(missing)}")
     records = doc["samples"]
@@ -497,7 +494,7 @@ def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
     for key in ("seed", "random_edge_max"):
         if not is_integer(doc[key]):
             raise DatasetError(f"dataset {key} {doc[key]!r} is not an integer")
-    want = _header(len(records), doc["seed"], doc["random_edge_max"], doc["bijection"])
+    want = dataset_header(len(records), doc["seed"], doc["random_edge_max"], doc["bijection"])
     header = {k: doc[k] for k in want}
     note = first_difference(header, want)
     if note:

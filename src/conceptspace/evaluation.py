@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,12 +185,11 @@ class EvalReport:
 
 
 def append_ledger(report: EvalReport, path: str) -> None:
-    """One CSV row per evaluation, fixed column order, header written once."""
+    """One CSV row per evaluation, fixed column order, a header in a new or empty file."""
     report.validate()
-    new = not os.path.exists(path)
     with open(path, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=LEDGER_COLUMNS)
-        if new:
+        if fh.tell() == 0:
             writer.writeheader()
         writer.writerow(report.ledger_row())
 

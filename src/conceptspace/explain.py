@@ -7,12 +7,11 @@ exhaustive nearest-neighbor scans: prototypes (sample closest to a concept
 cluster's centroid), radius neighborhoods, cross-modal retrieval, and the
 nearest-stored-concept substitution used for missing-modality inference.
 
-Every query runs one of two scans, `_nearest` or `_ranked`. Rows are stored
-sorted by sample id, and ties go to the smallest id. `_ranked` sorts on the
-id last. `_nearest` scans only the distinct rows of a space, each kept at its
-first occurrence (the smallest id holding those bytes), in row order, so its
-first-occurrence argmin picks the same row as a scan over every row: equal
-rows have equal distances.
+Rows are stored sorted by sample id, and ties go to the smallest id. Every
+scan takes distances on a space's distinct rows only (ConceptIndex.distinct:
+the first occurrences, in row order), since equal rows have equal distances.
+`_nearest` takes the first argmin over them, the row a scan over every row
+picks; `_ranked` expands them to every row and sorts on (distance, id).
 """
 
 from __future__ import annotations
@@ -39,10 +38,10 @@ class ConceptIndex:
     codes: np.ndarray | None        # (n, sum of widths) uint8, z >= 0.5
     local_labels: dict              # modality -> (n,)
     global_labels: np.ndarray       # (n,)
-    distinct: dict = field(init=False, repr=False)   # modality or "z" -> rows, set once
+    distinct: dict = field(init=False, repr=False)   # modality or "z" -> (rows, inverse)
 
     def __post_init__(self):
-        self.distinct = {name: distinct_rows(x)[0] for name, x in
+        self.distinct = {name: distinct_rows(x) for name, x in
                          {**self.spaces, "z": self.z}.items() if x is not None}
 
     def __len__(self) -> int:
@@ -121,15 +120,16 @@ def encode_samples(model, samples) -> dict:
 
 # -- queries -------------------------------------------------------------------
 
-def _nearest(stored: np.ndarray, distinct: np.ndarray, queries: np.ndarray):
+def _nearest(stored: np.ndarray, distinct: tuple, queries: np.ndarray):
     """(rows, distances): for each query row, the first stored row at the
-    least Euclidean distance, ranked on squared distances. Only the rows
-    `distinct` (ConceptIndex.distinct of `stored`) are scanned."""
-    if len(distinct) == 0:
+    least Euclidean distance, ranked on squared distances. Only the distinct
+    rows (`distinct` is ConceptIndex.distinct of `stored`) are scanned."""
+    rows = distinct[0]
+    if len(rows) == 0:
         raise RuntimeError("empty index")
-    d2 = ((queries[:, None, :] - stored[distinct][None, :, :]) ** 2).sum(axis=2)
+    d2 = ((queries[:, None, :] - stored[rows][None, :, :]) ** 2).sum(axis=2)
     pick = d2.argmin(axis=1)
-    return distinct[pick], np.sqrt(d2[np.arange(len(pick)), pick])
+    return rows[pick], np.sqrt(d2[np.arange(len(pick)), pick])
 
 
 def _ranked(index: ConceptIndex, query_vec: np.ndarray, modality: str,
@@ -142,7 +142,8 @@ def _ranked(index: ConceptIndex, query_vec: np.ndarray, modality: str,
         raise ValueError("radius must be nonnegative")
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be at least 1")
-    dists = np.linalg.norm(index.spaces[modality] - query_vec, axis=1)
+    rows, inverse = index.distinct[modality]
+    dists = np.sqrt(((query_vec - index.spaces[modality][rows]) ** 2).sum(axis=1))[inverse]
     kept = np.flatnonzero(dists < radius) if radius is not None else np.arange(len(dists))
     order = kept[np.lexsort((index.ids[kept], dists[kept]))][:top_k]
     return [(i, modality, d) for i, d in

@@ -133,7 +133,9 @@ def fresh_encoders(cfg: ExperimentConfig, rng, modalities=MODALITIES,
                    concepts: bool = True) -> tuple[dict, dict]:
     """New encoders for `modalities`, built (and drawing from rng) in that
     order, and a concept stage for each when `concepts` is set (else none,
-    and the graph encoder sum-pools raw node embeddings)."""
+    and the graph encoder sum-pools raw node embeddings). Every model is
+    built through here, so an invalid cfg raises ValueError here."""
+    cfg.validate()
     encoders = {m: GraphEncoder(cfg, rng, f"enc.{m}", discretize=concepts)
                 if m == "graph" else DenseEncoder(cfg, rng, f"enc.{m}")
                 for m in modalities}
@@ -252,7 +254,6 @@ class SharedConceptModel(ConcatHeadModel):
     concept_based = True
 
     def __init__(self, cfg: ExperimentConfig, rng, with_local_heads: bool = False):
-        cfg.validate()
         encoders, stages = fresh_encoders(cfg, rng)
         self.shared_stage = SharedStage(cfg, rng)
         super().__init__(cfg, self.kind, encoders, stages,

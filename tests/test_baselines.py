@@ -34,6 +34,18 @@ def test_every_kind_builds(tiny):
         assert not model.trained
 
 
+@pytest.mark.parametrize("field, value", [("n_classes", 3), ("tau", -1.0), ("local_width", 0),
+                                          ("anchor_count", 0)])
+@pytest.mark.parametrize("kind", ("shared",) + BASELINE_KINDS)
+def test_every_model_rejects_an_invalid_config(kind, field, value):
+    cfg = ExperimentConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        if kind == "shared":
+            SharedConceptModel(cfg, substream(cfg.seed, "init"))
+        else:
+            build_baseline(kind, cfg)
+
+
 def test_unknown_kind_rejected(tiny):
     with pytest.raises(ValueError):
         build_baseline("transformer", tiny[0])

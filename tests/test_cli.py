@@ -208,6 +208,44 @@ def test_eval_mismatched_dataset_exits_4(workdir, tmp_path):
                  "--dataset", str(other)]) == 4
 
 
+# field -> (its value in the other dataset, the note on it against the config)
+MISMATCHES = {"seed": (3, "seed is 3, not 0"),
+              "bijection": ("swapped", 'bijection is "swapped", not "default"'),
+              "n_samples": (100, "n_samples is 100, not 120"),
+              "random_edge_max": (1, "random_edge_max is 1, not 2")}
+
+
+@pytest.fixture(scope="module")
+def mismatched(workdir):
+    """field -> a dataset generated for the config with only that field changed."""
+    doc = json.loads(open(workdir["config"]).read())
+    paths = {}
+    for field, (value, _) in MISMATCHES.items():
+        cfg_path = workdir["root"] / f"config_{field}.json"
+        cfg_path.write_text(json.dumps({**doc, field: value}))
+        paths[field] = str(workdir["root"] / f"dataset_{field}.json")
+        assert main(["--config", str(cfg_path), "--out", paths[field], "generate"]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("field", MISMATCHES)
+@pytest.mark.parametrize("command, code", [
+    (["train", "--model", "shared"], 3), (["eval"], 4), (["explain", "embedding"], 4),
+], ids=["train", "eval", "explain"])
+def test_dataset_config_mismatch_names_the_field(workdir, mismatched, tmp_path, capsys,
+                                                 field, command, code):
+    out = tmp_path / "out"
+    if command[0] == "train":
+        args = ["--config", workdir["config"], "--out", str(out), *command]
+    else:
+        args = ["--out", str(out), *command, "--checkpoint", workdir["ckpt"]]
+    capsys.readouterr()
+    assert main([*args, "--dataset", mismatched[field]]) == code
+    assert capsys.readouterr().err == (
+        f"error: dataset does not match the config: {MISMATCHES[field][1]}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, command", [
     ("shared", ["eval"]), ("shared", ["explain", "embedding"]), ("simple", ["eval"]),
 ], ids=["shared eval", "shared explain embedding", "simple eval"])

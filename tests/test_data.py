@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conceptspace.config import BIJECTIONS
+from conceptspace.config import BIJECTIONS, ExperimentConfig
 from conceptspace.data import (
     FAMILIES,
     N_BITS,
@@ -211,6 +211,23 @@ def test_split_rejects_bad_ratio(thousand):
     for ratio in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(ValueError):
             split(thousand, ratio, seed=0)
+
+
+def test_config_accepts_exactly_the_splits_that_train_2_and_test_1():
+    verdicts = set()
+    for n in range(1, 41):
+        for ratio in (0.01, 0.05, 0.1, 0.125, 0.25, 1 / 3, 0.45, 0.5, 0.55, 2 / 3, 0.75,
+                      0.8, 0.9, 0.95, 0.975, 0.99):
+            ds = split(list(range(n)), ratio, seed=0)
+            try:
+                ExperimentConfig(n_samples=n, split_ratio=ratio, anchor_count=1).validate()
+                accepted = True
+            except ValueError as exc:
+                assert "split_ratio" in str(exc)
+                accepted = False
+            assert accepted == (len(ds.train) >= 2 and len(ds.test) >= 1), (n, ratio)
+            verdicts.add(accepted)
+    assert verdicts == {True, False}
 
 
 # -- batching --------------------------------------------------------------------

@@ -290,6 +290,17 @@ def test_ledger_row_and_columns(tmp_path):
     assert float(rows[1][6]) == pytest.approx(0.95)
 
 
+def test_ledger_header_goes_into_an_empty_file(tmp_path):
+    report = EvalReport("shared", 0, "abc", accuracy=0.9)
+    path = tmp_path / "results.csv"
+    path.write_text("")
+    append_ledger(report, str(path))
+    append_ledger(report, str(path))
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [list(LEDGER_COLUMNS)] + [["shared", "0", "0.900000", "", "", "", ""]] * 2
+
+
 def test_evaluate_model_full_metric_set(small_model, small_split, small_cfg):
     model, _ = small_model
     index = build_index(model, small_split.train)

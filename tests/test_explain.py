@@ -425,7 +425,7 @@ def test_distinct_rows_are_first_occurrences():
     for name, x in named_spaces(index).items():
         want = [k for k in range(len(x))
                 if not any(x[k].tobytes() == x[j].tobytes() for j in range(k))]
-        assert index.distinct[name].tolist() == want == [0, 1, 2, 3, 4, 5]
+        assert index.distinct[name][0].tolist() == want == [0, 1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("make_index", [tied_index, duplicated_tied_index])
@@ -449,9 +449,25 @@ def test_nearest_callers_equal_the_scan_on_ties(make_index):
         assert prototype(index, code) == scan_prototype(index.z, index.codes, index.ids, code)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_ranked_distances_are_the_norm_over_every_row(seed):
+    # stored rows drawn from a small pool, so most of them repeat
+    r = np.random.default_rng(seed)
+    width, n = int(r.integers(1, 101)), int(r.integers(1, 801))
+    pool = r.normal(size=(int(r.integers(1, n + 1)), width))
+    spaces = {m: pool[r.integers(0, len(pool), size=n)] for m in MODALITIES}
+    index = ConceptIndex(np.arange(n) * 3, spaces, None, None,
+                         {m: np.zeros(n, dtype=int) for m in MODALITIES}, np.zeros(n))
+    for query in (r.normal(size=width), spaces["graph"][0]):
+        for mod in MODALITIES:
+            got = {i: d for i, _, d in neighborhood(index, query, mod, np.inf).results}
+            want = np.linalg.norm(spaces[mod] - query, axis=1)
+            assert np.array([got[i] for i in index.ids]).tobytes() == want.tobytes()
+
+
 def test_nearest_callers_equal_the_scan_on_the_trained_index(trained):
     model, index, ds = trained
-    assert all(len(index.distinct[m]) < len(index) for m in MODALITIES)   # rows repeat
+    assert all(len(index.distinct[m][0]) < len(index) for m in MODALITIES)   # rows repeat
     test_spaces = encode_samples(model, ds.test)
     local = as_arrays(ds.test, with_aux=False).local
     for source, target in (MODALITIES, MODALITIES[::-1]):
