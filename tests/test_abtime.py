@@ -27,12 +27,20 @@ def test_the_done_when_counts_of_60_pairs():
     assert abtime.sign_test_p(41, 60) < 0.01 < abtime.sign_test_p(40, 60)
 
 
-def test_a_run_of_one_tree_against_itself_prints_its_summary():
+def _check_a_run_of_one_tree_against_itself(unit):
     out = subprocess.run([sys.executable, str(SCRIPT), str(ROOT), str(ROOT),
-                          "--unit", "serve_op", "--pairs", "2"],
+                          "--unit", unit, "--pairs", "2"],
                          capture_output=True, text=True, timeout=300, check=True).stdout
     lines = out.splitlines()
-    assert lines[0] == "unit serve_op, 2 pairs after 5 warm-up units per tree, one BLAS thread"
+    assert lines[0] == f"unit {unit}, 2 pairs after 5 warm-up units per tree, one BLAS thread"
     assert re.fullmatch(r"A .+: median [\d.]+ ms \[[\d.]+, [\d.]+\]", lines[1])
     assert re.fullmatch(r"B/A ratio: median [\d.]+ \[IQR [\d.]+, [\d.]+\]; "
                         r"B slower in [012] of 2 pairs; sign test p = [\d.e-]+", lines[3])
+
+
+def test_a_run_of_one_tree_against_itself_prints_its_summary():
+    _check_a_run_of_one_tree_against_itself("serve_op")
+
+
+def test_a_serve_query_run_of_one_tree_against_itself_prints_its_summary():
+    _check_a_run_of_one_tree_against_itself("serve_query")

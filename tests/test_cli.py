@@ -454,36 +454,50 @@ def test_reproduce_exit_code_follows_the_verdict(tmp_path, monkeypatch, capsys):
         if kind == "shared":
             return _report(0.99, 0.99, (0.99, 0.99), 0.99)
         if kind == "concept":
-            return _report(0.98, 0.95, (0.9, 0.8), 0.8)
+            return _report(0.98, 0.95, (0.7, 0.8), 0.8)
         if kind == "relative":
             return _report(0.98, miss=(0.8, None))
         return _report(0.98 if kind == "simple" else 0.75)
 
-    def failing_job(cfg_dict, kind, seed):
-        # the concept baseline wins completeness in two of five seeds
-        if kind == "concept" and seed < 2:
-            return _report(0.98, 1.0, (0.9, 0.8), 0.8)
-        return passing_job(cfg_dict, kind, seed)
+    def failing_as(concept):
+        """passing_job, but the concept baseline reports `concept(seed)`."""
+        return lambda cfg_dict, kind, seed: (
+            concept(seed) if kind == "concept" else passing_job(cfg_dict, kind, seed))
 
-    for job, code, verdict in ((passing_job, 0, "PASS"), (failing_job, 6, "FAIL")):
+    failing = (   # (job, the one line it fails)
+        # the concept baseline wins completeness in two of five seeds
+        (failing_as(lambda seed: _report(0.98, 1.0 if seed < 2 else 0.95, (0.7, 0.8), 0.8)),
+         "shared compl beats concept in >=4/5 seeds"),
+        # the concept graph-missing below its band, still below relative's
+        (failing_as(lambda seed: _report(0.98, 0.95, (0.5, 0.8), 0.8)),
+         "concept mean miss_graph"),
+        # the concept graph-missing within its band but above relative's
+        (failing_as(lambda seed: _report(0.98, 0.95, (0.82, 0.8), 0.8)),
+         "graph-missing medians shared > relative > concept"))
+    for n, (job, failed) in enumerate([(passing_job, None), *failing]):
         monkeypatch.setattr("conceptspace.cli._reproduce_job", job)
-        out = tmp_path / verdict
-        assert main(["--out", str(out), "reproduce", "--seeds", "0,1,2,3,4"]) == code
+        out = tmp_path / str(n)
+        assert main(["--out", str(out), "reproduce", "--seeds", "0,1,2,3,4"]) == (
+            6 if failed else 0)
         printed = capsys.readouterr().out
-        assert f"overall: {verdict}" in printed
+        assert f"overall: {'FAIL' if failed else 'PASS'}" in printed
+        fails = [line for line in printed.splitlines() if line.startswith("[FAIL]")]
+        assert len(fails) == bool(failed) and all(
+            line.startswith(f"[FAIL] {failed} ") for line in fails)
         assert json.loads((out / "reproduce_results.json").read_text())["seeds"] == [
             0, 1, 2, 3, 4]
 
 
-def _one_seed_reports(shared, capped_acc, floored_acc, relative_miss_graph):
+def _one_seed_reports(shared, capped_acc, floored_acc, relative_miss_graph,
+                      concept_miss_graph):
     """reproduce's by-kind reports for one seed: the concept baseline ties the
-    shared model, the four kinds capped at 0.80 share `capped_acc`, and
-    simple and relative share `floored_acc`."""
+    shared model but on graph-missing, the four kinds capped at 0.80 share
+    `capped_acc`, and simple and relative share `floored_acc`."""
     def report(*args, **kw):
         return [_report(*args, **kw)]
     acc, compl, miss_graph, miss_tab, retr = shared
-    both = report(acc, compl, (miss_graph, miss_tab), retr)
-    return {"shared": both, "concept": both,
+    return {"shared": report(acc, compl, (miss_graph, miss_tab), retr),
+            "concept": report(acc, compl, (concept_miss_graph, miss_tab), retr),
             **{kind: report(capped_acc)
                for kind in ("mod_graph", "mod_tabular", "cbm_graph", "cbm_tabular")},
             "simple": report(floored_acc),
@@ -493,25 +507,34 @@ def _one_seed_reports(shared, capped_acc, floored_acc, relative_miss_graph):
 _MEAN_LINES = ("shared mean acc", "shared mean compl", "shared mean miss_graph",
                "shared mean miss_tab", "shared mean retr", "mod_graph mean acc",
                "mod_tabular mean acc", "cbm_graph mean acc", "cbm_tabular mean acc",
-               "simple mean acc", "concept mean acc", "relative mean acc",
-               "relative mean miss_graph")
-_SEED_LINES = [("shared per-seed acc >= 0.95", True, "min 0.9700"),
-               ("shared compl beats concept in >=4/5 seeds", False, "0/1"),
-               ("shared beats concept on missing modality every seed", False, ""),
-               ("shared retrieval match beats concept every seed", False, "")]
+               "simple mean acc", "concept mean acc", "concept mean miss_graph",
+               "relative mean acc", "relative mean miss_graph")
+# the end of the concept graph-missing band [0.53, 0.83] that is tested with
+# each end of the relative one [0.65, 0.92]
+_CONCEPT_END = {0.65: 0.53, 0.92: 0.83}
+
+
+def _seed_lines(relative_miss_graph, concept_miss_graph):
+    return [("shared per-seed acc >= 0.95", True, "min 0.9700"),
+            ("shared compl beats concept in >=4/5 seeds", False, "0/1"),
+            ("shared beats concept on missing modality every seed", False, ""),
+            ("shared retrieval match beats concept every seed", False, ""),
+            ("graph-missing medians shared > relative > concept", True,
+             f"0.9500, {relative_miss_graph:.4f}, {concept_miss_graph:.4f}")]
 
 
 @pytest.mark.parametrize("relative_miss_graph", [0.65, 0.92])
 def test_reproduce_means_on_a_bound_pass(relative_miss_graph):
     from conceptspace.cli import _acceptance_lines
+    concept_miss_graph = _CONCEPT_END[relative_miss_graph]
     by_kind = _one_seed_reports((0.97, 0.93, 0.95, 0.88, 0.90), 0.80, 0.97,
-                                relative_miss_graph)
+                                relative_miss_graph, concept_miss_graph)
     details = ("0.9700", "0.9300", "0.9500", "0.8800", "0.9000", "0.8000",
-               "0.8000", "0.8000", "0.8000", "0.9700", "0.9700", "0.9700",
-               f"{relative_miss_graph:.4f}")
+               "0.8000", "0.8000", "0.8000", "0.9700", "0.9700",
+               f"{concept_miss_graph:.4f}", "0.9700", f"{relative_miss_graph:.4f}")
     assert _acceptance_lines(by_kind) == [
         *((name, True, detail) for name, detail in zip(_MEAN_LINES, details)),
-        *_SEED_LINES]
+        *_seed_lines(relative_miss_graph, concept_miss_graph)]
 
 
 @pytest.mark.parametrize("relative_miss_graph", [0.65, 0.92])
@@ -520,12 +543,31 @@ def test_reproduce_means_one_ulp_outside_a_bound_fail(relative_miss_graph):
     below = lambda v: float(np.nextafter(v, 0.0))
     above = lambda v: float(np.nextafter(v, 1.0))
     outside = below if relative_miss_graph < 0.8 else above
+    concept_miss_graph = _CONCEPT_END[relative_miss_graph]
     by_kind = _one_seed_reports([below(v) for v in (0.97, 0.93, 0.95, 0.88, 0.90)],
-                                above(0.80), below(0.97), outside(relative_miss_graph))
+                                above(0.80), below(0.97), outside(relative_miss_graph),
+                                outside(concept_miss_graph))
     lines = _acceptance_lines(by_kind)
     assert [(name, ok) for name, ok, _ in lines[:len(_MEAN_LINES)]] == [
         (name, False) for name in _MEAN_LINES]
-    assert lines[len(_MEAN_LINES):] == _SEED_LINES
+    assert lines[len(_MEAN_LINES):] == _seed_lines(relative_miss_graph, concept_miss_graph)
+
+
+@pytest.mark.parametrize("shared, relative, concept", [
+    ([0.99], [0.8], [0.8]),
+    ([0.99], [0.8], [0.82]),
+    ([0.9], [0.9], [0.6]),
+    # the means are in order (0.80 > 0.68), the medians are not (0.75 < 0.77)
+    ([0.99] * 3, [0.9, 0.75, 0.75], [0.77, 0.77, 0.5]),
+], ids=["concept ties relative", "concept above relative", "relative ties shared",
+        "medians, not means"])
+def test_reproduce_graph_missing_medians_out_of_order_fail(shared, relative, concept):
+    from conceptspace.cli import _acceptance_lines
+    by_kind = {kind: [_report(0.98, 0.95, (v, 0.9), 0.9) for v in values]
+               for kind, values in (("shared", shared), ("relative", relative),
+                                    ("concept", concept))}
+    name, ok, _ = _acceptance_lines(by_kind)[-1]
+    assert name == "graph-missing medians shared > relative > concept" and not ok
 
 
 def test_usage_errors_exit_1():
@@ -757,11 +799,12 @@ def _retyped_1(key, cast):
     lambda d: [d],
     lambda d: {**d, "bijection": "rotated"},
     lambda d: {**d, "seed": float(d["seed"])},
+    lambda d: {**d, "colour": "red"},
 ], ids=["version only", "count differs from header", "repeated id",
         "string feature", "float endpoint", "list feature", "bool endpoint",
         "NaN feature", "bool feature", "huge feature", "bool bits",
         "boolean global", "float local_tab", "unknown record field", "top level an array",
-        "unknown bijection", "float seed"])
+        "unknown bijection", "float seed", "unknown top-level field"])
 def test_damaged_dataset_exits_2(workdir, tmp_path, edit, capsys):
     doc = json.loads(open(workdir["dataset"]).read())
     bad = tmp_path / "dataset.json"
@@ -782,5 +825,5 @@ def test_boolean_sample_id_exits_2(workdir, tmp_path, capsys):
     assert main(["--config", workdir["config"], "--out", str(tmp_path), "train",
                  "--dataset", str(bad), "--model", "shared"]) == 2
     assert capsys.readouterr().err == (
-        "error: dataset record 1: id True is not an integer\n")
+        "error: dataset record 1: id is true, not 1\n")
     assert not list(tmp_path.glob("*.ckpt"))

@@ -470,6 +470,11 @@ def _saved_doc(tmp_path, samples):
     return json.loads(path.read_text())
 
 
+def _first_bit_1(value):
+    """An edit that sets record 1's first bit to value(that bit)."""
+    return lambda d: d["samples"][1]["bits"].__setitem__(0, value(d["samples"][1]["bits"][0]))
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d.pop("seed"),
     lambda d: d.pop("samples"),
@@ -491,12 +496,28 @@ def _saved_doc(tmp_path, samples):
     lambda d: d.update(seed=float(d["seed"])),
     lambda d: d.update(random_edge_max=float(d["random_edge_max"])),
     lambda d: d.update(bijection=["default"]),
+    lambda d: d.update(colour="red"),
+    lambda d: d["samples"][1].update(id=str(d["samples"][1]["id"])),
+    lambda d: d["samples"][1].update(id=d["samples"][1]["id"] + 0.5),
+    lambda d: d["samples"][1].update(id=float("inf")),
+    lambda d: d["samples"][1].update(id=float("nan")),
+    _first_bit_1(float),
+    _first_bit_1(lambda bit: float("inf")),
+    lambda d: d["samples"][1].update(edges=[[0, True]]),
+    lambda d: d["samples"][1].update(edges=[[0, 1.0]]),
+    lambda d: d.update(seed=str(d["seed"])),
+    lambda d: d.update(seed=float("inf")),
+    lambda d: d.update(version=2),
+    lambda d: d["samples"].__setitem__(1, [1, 2]),
 ], ids=["missing header field", "missing samples", "missing record field",
         "count differs from header", "repeated id", "nine nodes",
         "local_tab disagrees", "local_graph disagrees", "global disagrees",
         "unknown family", "samples not a list", "boolean global", "float local_tab",
         "unknown record field", "unknown bijection", "boolean version", "float n_samples",
-        "float seed", "float random_edge_max", "bijection a list"])
+        "float seed", "float random_edge_max", "bijection a list",
+        "unknown top-level field", "string id", "fractional id", "infinite id", "NaN id",
+        "float bit", "infinite bit", "bool endpoint", "float endpoint", "string seed",
+        "infinite seed", "version 2", "record a list"])
 def test_load_rejects_damaged_dataset(tmp_path, thousand, edit):
     doc = _saved_doc(tmp_path, thousand[:5])
     edit(doc)
@@ -504,3 +525,41 @@ def test_load_rejects_damaged_dataset(tmp_path, thousand, edit):
     path.write_text(json.dumps(doc))
     with pytest.raises(DatasetError):
         load_dataset(str(path))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["samples"].__setitem__(1, [1, 2]), "dataset record 1 is not a JSON object"),
+    (lambda d: d.update(samples={}), "dataset samples is not a list"),
+    (lambda d: d.pop("samples"), "dataset lacks samples"),
+    (lambda d: d["samples"][1].update(id=True), "dataset record 1: id is true, not 1"),
+    (lambda d: d.update(colour="red"), 'dataset header: colour is "red", not absent'),
+    (lambda d: d.update(bijection=["default"]), "dataset header: unknown bijection ['default']"),
+], ids=["record a list", "samples not a list", "missing samples", "boolean id",
+        "unknown top-level field", "bijection a list"])
+def test_damaged_dataset_message(tmp_path, thousand, edit, message):
+    doc = _saved_doc(tmp_path, thousand[:5])
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError) as info:
+        load_dataset(str(path))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["samples"][1].update(edges=[[0, 1]]),
+    lambda d: d["samples"][1].update(features=list(range(NODE_COUNT))),
+], ids=["integer endpoints", "integer-valued features"])
+def test_load_takes_stored_values_in_the_writers_types(tmp_path, thousand, edit):
+    """What the type rows above differ from: the same edges in integers load,
+    and so do integer-valued features (taken as they are stored); saving the
+    loaded samples again gives the same bytes."""
+    doc = _saved_doc(tmp_path, thousand[:5])
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    samples, header = load_dataset(str(path))
+    again = tmp_path / "again.json"
+    save_dataset(samples, str(again), seed=header["seed"],
+                 random_edge_max=header["random_edge_max"], bijection=header["bijection"])
+    assert again.read_bytes() == path.read_bytes()

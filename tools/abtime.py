@@ -1,6 +1,7 @@
 """Paired A/B timing of one unit of work in two source trees.
 
     python tools/abtime.py A_TREE B_TREE --unit serve_op --pairs 60
+    python tools/abtime.py A_TREE B_TREE --unit serve_query --pairs 60
     python tools/abtime.py A_TREE B_TREE --unit train_epoch --seed 5 --pairs 60
 
 Each tree is a checkout with the package under `src/` (`git archive` makes
@@ -13,6 +14,10 @@ Units (public names only, so any two commits of the package can be compared):
 - `serve_op`: `build_index` of the training split plus `evaluate_model`, on
   the trained checkpoint the benchmark ships and the dataset regenerated
   from its config (the benchmark's `serve` operation). `--seed` is not used.
+- `serve_query`: on the same checkpoint and dataset, 50 test samples, each
+  encoded alone (`encode_samples`) and then asked for its graph neighborhood
+  at radius 0.3, as the benchmark's `serve` queries are. `build_index` of the
+  training split runs once, at set-up. `--seed` is not used.
 - `train_epoch`: `train()` of a fresh default shared model, seeded by
   `--seed`, with `plan.epochs=1` on the default dataset of that seed.
 
@@ -36,6 +41,7 @@ CHECKPOINT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "ben
                           "fixture", "shared_seed0.ckpt")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WARMUP = 5
+QUERIES, RADIUS = 50, 0.3      # the serve_query unit
 
 
 def _dataset(cs, cfg):
@@ -57,6 +63,21 @@ def serve_op(cs, seed: int):
     return run
 
 
+def serve_query(cs, seed: int):
+    model = cs.load_model(CHECKPOINT)
+    ds = _dataset(cs, model.config)
+    index = cs.build_index(model, ds.train)
+    queries = ds.test[:QUERIES]
+
+    def run() -> float:
+        t0 = time.perf_counter()
+        for sample in queries:
+            vec = cs.encode_samples(model, [sample])["graph"][0]
+            cs.neighborhood(index, vec, "graph", RADIUS, query_id=sample.id)
+        return time.perf_counter() - t0
+    return run
+
+
 def train_epoch(cs, seed: int):
     cfg = cs.ExperimentConfig(seed=seed, plan=cs.TrainPlan(epochs=1))
     ds = _dataset(cs, cfg)
@@ -69,7 +90,7 @@ def train_epoch(cs, seed: int):
     return run
 
 
-UNITS = {"serve_op": serve_op, "train_epoch": train_epoch}
+UNITS = {"serve_op": serve_op, "serve_query": serve_query, "train_epoch": train_epoch}
 
 
 def worker(tree: str, unit: str, seed: int) -> None:
