@@ -437,16 +437,23 @@ def dataset_header(n_samples: int, seed: int, random_edge_max: int, bijection: s
             "random_edge_max": random_edge_max, "bijection": bijection}
 
 
+def _int(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):      # null, "a", NaN; Infinity
+        raise ValueError(f"{name} {json.dumps(value)} is not an integer") from None
+
+
 def _sample_from_record(rec: dict) -> PairedSample:
-    """The sample a record holds, rebuilt in the types _record writes, if the
-    record is _record of that sample. Only the finite-feature check is its
-    own: a NaN or infinite feature is written back as it was read."""
+    """The sample a record holds, in the types _record writes, if the record is
+    _record of it. Features are checked finite here: NaN is written back as read."""
     for value in rec["features"]:
         if not is_finite_real(value):
             raise ValueError(f"feature {value!r} is not a finite number")
-    graph = GraphSample(NODE_COUNT, tuple(tuple(map(int, e)) for e in rec["edges"]),
-                        tuple(rec["features"]), GraphFamily(rec["family"]))
-    sample = _paired(int(rec["id"]), TabularSample(tuple(map(int, rec["bits"]))), graph)
+    edges = tuple(tuple(_int(v, "edge endpoint") for v in e) for e in rec["edges"])
+    graph = GraphSample(NODE_COUNT, edges, tuple(rec["features"]), GraphFamily(rec["family"]))
+    bits = TabularSample(tuple(_int(b, "bit") for b in rec["bits"]))
+    sample = _paired(_int(rec["id"], "id"), bits, graph)
     note = first_difference(rec, _record(sample))
     if note:
         raise ValueError(note)
@@ -454,11 +461,10 @@ def _sample_from_record(rec: dict) -> PairedSample:
 
 
 def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
-    """Read a file written by save_dataset. The document is accepted only if
-    it is what save_dataset writes for the header and the samples rebuilt
-    from it, in types as well as values (true, 1.0 and "1" all differ from
-    1), with every feature finite and no id repeated; anything else raises
-    DatasetError. Stored feature values are taken as they are."""
+    """Read a file written by save_dataset: accepted only if it is what
+    save_dataset writes for the header and samples rebuilt from it, in types
+    as well as values (true, 1.0 and "1" differ from 1), with finite features
+    taken as stored and no id repeated; anything else raises DatasetError."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -466,13 +472,13 @@ def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
     if not isinstance(doc.get("samples", []), list):
         raise DatasetError("dataset samples is not a list")
     try:
-        records = doc["samples"]
-        _table(_BIJECTIONS, doc["bijection"])
-        want = dataset_header(len(records), int(doc["seed"]), int(doc["random_edge_max"]),
-                              doc["bijection"])
+        records, bijection = doc["samples"], doc["bijection"]
+        _table(_BIJECTIONS, bijection)
+        want = dataset_header(len(records), _int(doc["seed"], "seed"),
+                              _int(doc["random_edge_max"], "random_edge_max"), bijection)
     except KeyError as exc:
         raise DatasetError(f"dataset lacks {exc.args[0]}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise DatasetError(f"dataset header: {exc}") from None
     note = first_difference({k: v for k, v in doc.items() if k != "samples"}, want)
     if note:
@@ -485,7 +491,7 @@ def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
             sample = _sample_from_record(rec)
         except KeyError as exc:
             raise DatasetError(f"dataset record {pos} lacks {exc.args[0]}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise DatasetError(f"dataset record {pos}: {exc}") from None
         if sample.id in seen:
             raise DatasetError(f"dataset id {sample.id} appears more than once")

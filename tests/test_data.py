@@ -475,6 +475,15 @@ def _first_bit_1(value):
     return lambda d: d["samples"][1]["bits"].__setitem__(0, value(d["samples"][1]["bits"][0]))
 
 
+def _first_endpoint(value):
+    """An edit that sets the second endpoint of record 1's first edge to
+    value(that endpoint); record 1 holds 13 edges."""
+    def edit(d):
+        edge = d["samples"][1]["edges"][0]
+        edge[1] = value(edge[1])
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d.pop("seed"),
     lambda d: d.pop("samples"),
@@ -503,8 +512,8 @@ def _first_bit_1(value):
     lambda d: d["samples"][1].update(id=float("nan")),
     _first_bit_1(float),
     _first_bit_1(lambda bit: float("inf")),
-    lambda d: d["samples"][1].update(edges=[[0, True]]),
-    lambda d: d["samples"][1].update(edges=[[0, 1.0]]),
+    _first_endpoint(bool),
+    _first_endpoint(float),
     lambda d: d.update(seed=str(d["seed"])),
     lambda d: d.update(seed=float("inf")),
     lambda d: d.update(version=2),
@@ -534,8 +543,16 @@ def test_load_rejects_damaged_dataset(tmp_path, thousand, edit):
     (lambda d: d["samples"][1].update(id=True), "dataset record 1: id is true, not 1"),
     (lambda d: d.update(colour="red"), 'dataset header: colour is "red", not absent'),
     (lambda d: d.update(bijection=["default"]), "dataset header: unknown bijection ['default']"),
+    (lambda d: d["samples"][1].update(id=None), "dataset record 1: id null is not an integer"),
+    (lambda d: d["samples"][1].update(id=float("nan")),
+     "dataset record 1: id NaN is not an integer"),
+    (_first_endpoint(lambda v: None), "dataset record 1: edge endpoint null is not an integer"),
+    (lambda d: d.update(seed=None), "dataset header: seed null is not an integer"),
+    (lambda d: d.update(random_edge_max="abc"),
+     'dataset header: random_edge_max "abc" is not an integer'),
 ], ids=["record a list", "samples not a list", "missing samples", "boolean id",
-        "unknown top-level field", "bijection a list"])
+        "unknown top-level field", "bijection a list", "null id", "NaN id", "null endpoint",
+        "null seed", "string random_edge_max"])
 def test_damaged_dataset_message(tmp_path, thousand, edit, message):
     doc = _saved_doc(tmp_path, thousand[:5])
     edit(doc)
@@ -547,13 +564,16 @@ def test_damaged_dataset_message(tmp_path, thousand, edit, message):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda d: d["samples"][1].update(edges=[[0, 1]]),
-    lambda d: d["samples"][1].update(features=list(range(NODE_COUNT))),
+    _first_endpoint(int),
+    lambda d: d["samples"][2].update(features=[0 if f == 0 else f
+                                               for f in d["samples"][2]["features"]]),
 ], ids=["integer endpoints", "integer-valued features"])
 def test_load_takes_stored_values_in_the_writers_types(tmp_path, thousand, edit):
-    """What the type rows above differ from: the same edges in integers load,
-    and so do integer-valued features (taken as they are stored); saving the
-    loaded samples again gives the same bytes."""
+    """What the type rows above differ from: record 1's endpoints written as
+    the integers they are load, and so do record 2's 0.0 betweenness
+    features written as 0 (features are taken as stored); saving the loaded
+    samples again gives the same bytes. Each edited value equals the one
+    generated, so the records still describe their graphs."""
     doc = _saved_doc(tmp_path, thousand[:5])
     edit(doc)
     path = tmp_path / "edited.json"

@@ -14,10 +14,14 @@ Units (public names only, so any two commits of the package can be compared):
 - `serve_op`: `build_index` of the training split plus `evaluate_model`, on
   the trained checkpoint the benchmark ships and the dataset regenerated
   from its config (the benchmark's `serve` operation). `--seed` is not used.
-- `serve_query`: on the same checkpoint and dataset, 50 test samples, each
-  encoded alone (`encode_samples`) and then asked for its graph neighborhood
-  at radius 0.3, as the benchmark's `serve` queries are. `build_index` of the
-  training split runs once, at set-up. `--seed` is not used.
+- `serve_query`: on the same checkpoint and dataset, 50 queries of the two
+  kinds that rank index rows, drawn once at set-up from `--seed` as the
+  benchmark's `serve` draws its queries (bench/workloads.py): each kind in
+  even odds, a neighborhood at a radius uniform in RADIUS_RANGE or a
+  cross-modal top TOP_K; a uniform query modality; a uniform sample of the
+  train and test splits. Each query encodes its sample alone
+  (`encode_samples`) and then asks. `build_index` of the training split runs
+  once, at set-up; both trees draw the same queries.
 - `train_epoch`: `train()` of a fresh default shared model, seeded by
   `--seed`, with `plan.epochs=1` on the default dataset of that seed.
 
@@ -41,7 +45,8 @@ CHECKPOINT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "ben
                           "fixture", "shared_seed0.ckpt")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WARMUP = 5
-QUERIES, RADIUS = 50, 0.3      # the serve_query unit
+QUERIES = 50                   # per serve_query unit
+RADIUS_RANGE, TOP_K = (0.05, 0.5), 5    # as the benchmark's serve queries
 
 
 def _dataset(cs, cfg):
@@ -67,13 +72,21 @@ def serve_query(cs, seed: int):
     model = cs.load_model(CHECKPOINT)
     ds = _dataset(cs, model.config)
     index = cs.build_index(model, ds.train)
-    queries = ds.test[:QUERIES]
+    samples, rng, queries = ds.train + ds.test, np.random.default_rng(seed), []
+    for _ in range(QUERIES):
+        kind = ("neighborhood", "crossmodal")[rng.integers(2)]
+        mod = cs.MODALITIES[rng.integers(len(cs.MODALITIES))]
+        sample = samples[rng.integers(len(samples))]
+        queries.append((kind, mod, sample, float(rng.uniform(*RADIUS_RANGE))))
 
     def run() -> float:
         t0 = time.perf_counter()
-        for sample in queries:
-            vec = cs.encode_samples(model, [sample])["graph"][0]
-            cs.neighborhood(index, vec, "graph", RADIUS, query_id=sample.id)
+        for kind, mod, sample, radius in queries:
+            vec = cs.encode_samples(model, [sample])[mod][0]
+            if kind == "neighborhood":
+                cs.neighborhood(index, vec, mod, radius, query_id=sample.id)
+            else:
+                cs.cross_modal_retrieve(index, vec, mod, top_k=TOP_K, query_id=sample.id)
         return time.perf_counter() - t0
     return run
 
