@@ -1,23 +1,24 @@
 """Command-line harness: generate / train / eval / explain / reproduce.
 
-Exit codes: 0 success; 1 usage error (e.g. a --workers below 1 or a
-repeated seed in reproduce --seeds); 2 I/O failure or a dataset file that is
-not what generate writes for the header and samples rebuilt from it (e.g. an
-unknown field anywhere, or 1.0, "1" or true for an id, bit, edge endpoint or
-label it writes as 1) or that holds a non-finite feature; 3 configuration or
-model/regime mismatch (e.g. an integer field holding a fraction or a boolean,
-a number field that is not finite, a string field holding something else,
-not one loss.betas weight per modality, an anchor_count above the training
-split; loss.betas above 0 outside end_to_end or on a baseline;
-local_pretrain or loss.betas above 0 without use_local_supervision) or
-diverged training (a non-finite loss, gradient or test logit); 4 a
-checkpoint that is not what train writes for its model (e.g. a manifest that
-is not a JSON object, a flag that is not true or false, a missing or extra
-rescale flag, a non-finite value, a negative running_var), or eval or
-explain on an untrained model; 5 explanation-domain error (e.g. a concept
-code no training sample carries); 6 a reproduce verdict of FAIL, after its
-table, lines and reproduce_results.json are written. A seed list shorter
-than 4 always fails, because the completeness line needs 4 wins.
+Exit codes: 0 success; 1 usage error (e.g. a --workers below 1, a repeated seed
+in reproduce --seeds, or an option the explain query does not read, as in
+explain prototype --radius); 2 I/O failure or a dataset file that is not what
+generate writes for the header and samples rebuilt from it (e.g. an unknown
+field anywhere, or 1.0, "1" or true for an id, bit, edge endpoint or label it
+writes as 1, or a graph without its family's edges) or that holds a non-finite
+feature; 3 configuration or model/regime mismatch (e.g. an integer field
+holding a fraction or a boolean, a number field that is not finite, a string
+field holding something else, not one loss.betas weight per modality, an
+anchor_count above the training split; loss.betas above 0 outside end_to_end or
+on a baseline; local_pretrain or loss.betas above 0 without
+use_local_supervision) or diverged training (a non-finite loss, gradient or
+test logit); 4 a checkpoint that is not what train writes for its model (e.g. a
+manifest that is not a JSON object, a flag that is not true or false, a missing
+or extra rescale flag, a non-finite value, a negative running_var), or eval or
+explain on an untrained model; 5 explanation-domain error (e.g. a concept code
+no training sample carries); 6 a reproduce verdict of FAIL, after its table,
+lines and reproduce_results.json are written. A seed list shorter than 4 always
+fails, because the completeness line needs 4 wins.
 """
 
 from __future__ import annotations
@@ -85,12 +86,16 @@ _MEAN_BOUNDS = (
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if args.config:
-        return load_config(args.config, **overrides)
-    return ExperimentConfig().with_overrides(**overrides)
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    return cfg if args.seed is None else cfg.with_overrides(seed=args.seed)
+
+
+def _output(args, cfg: ExperimentConfig, name: str) -> str:
+    """The path of output file `name` in --out, else in the config's out_dir,
+    which is created: called as the file is written (reproduce: before its grid)."""
+    out_dir = args.out or cfg.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
 
 
 def _generate(cfg: ExperimentConfig):
@@ -143,11 +148,9 @@ def cmd_train(args) -> int:
         cfg = cfg.with_overrides(use_local_supervision=True)
     samples = _matching_dataset(args.dataset, cfg, ConfigurationError)
     model, _, history = _train_one(cfg, samples, args.model)
-    out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     stem = f"{args.model}_seed{cfg.seed}"
-    save_model(model, os.path.join(out_dir, f"{stem}.ckpt"))
-    save_history(history, os.path.join(out_dir, f"{stem}_history.csv"))
+    save_model(model, _output(args, cfg, f"{stem}.ckpt"))
+    save_history(history, _output(args, cfg, f"{stem}_history.csv"))
     print(f"final test accuracy: {history[-1]['test_accuracy']:.4f}")
     return 0
 
@@ -170,11 +173,9 @@ def _evaluate(model, ds, config_hash: str, metrics=METRICS):
 def cmd_eval(args) -> int:
     model, ds = _load_pair(args.checkpoint, args.dataset)
     report = _evaluate(model, ds, model.config.hash(), args.metrics)
-    out_dir = args.out or model.config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     stem = f"{model.kind}_seed{model.config.seed}"
-    report.save_json(os.path.join(out_dir, f"{stem}_report.json"))
-    append_ledger(report, os.path.join(out_dir, "results.csv"))
+    report.save_json(_output(args, model.config, f"{stem}_report.json"))
+    append_ledger(report, _output(args, model.config, "results.csv"))
     for key, value in report.to_dict().items():
         if key not in ("model", "seed", "config_hash"):
             print(f"{key}: {value}")
@@ -194,25 +195,22 @@ def cmd_explain(args) -> int:
         raise ConfigurationError(f"a {model.kind} model has no concept space to explain")
     index = build_index(model, ds.train)
     sub = args.subcommand
-    if sub == "prototype" and index.codes is None:
-        raise ConfigurationError(f"a {model.kind} model has no concept codes")
-    out_dir = args.out or model.config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
 
     if sub == "embedding":
-        path = os.path.join(out_dir, "embedding_pca.csv")
+        path = _output(args, model.config, "embedding_pca.csv")
         save_pca_csv(index, path)
         print(f"wrote {path}")
         return 0
 
     if sub == "prototype":
+        if index.codes is None:
+            raise ConfigurationError(f"a {model.kind} model has no concept codes")
         width = index.codes.shape[1]
         if len(args.code) != width:
             raise NoSuchConceptError(f"--code has {len(args.code)} bits; this "
                                      f"checkpoint's concept codes have {width}")
         sample_id = prototype(index, [int(c) for c in args.code])
-        expl_path = os.path.join(out_dir, f"prototype_{args.code}.json")
-        with open(expl_path, "w") as fh:
+        with open(_output(args, model.config, f"prototype_{args.code}.json"), "w") as fh:
             json.dump({"kind": "prototype", "code": args.code,
                        "sample_id": sample_id}, fh, indent=2)
         print(f"prototype of {args.code}: sample {sample_id}")
@@ -229,17 +227,15 @@ def cmd_explain(args) -> int:
         kw = {"top_k": args.top_k} if args.radius is None else {"radius": args.radius}
         expl = cross_modal_retrieve(index, vecs[modality][0], modality,
                                     query_id=query.id, **kw)
-    elif sub == "substitute":
+    else:
         missing = other_modality(modality)
         _, retrieved, dist = substitute_missing(model, index, vecs[modality][0],
                                                 modality, missing)
         expl = Explanation("substitution", query.id, modality,
                            [(retrieved, missing, dist)],
                            {"present": modality, "missing": missing})
-    else:
-        raise ConfigurationError(f"unknown explain subcommand {sub!r}")
 
-    path = os.path.join(out_dir, f"{sub}_{query.id}.json")
+    path = _output(args, model.config, f"{sub}_{query.id}.json")
     save_explanation(expl, path)
     print(f"wrote {path} ({len(expl.results)} results)")
     return 0
@@ -294,8 +290,7 @@ def _acceptance_lines(by_kind: dict) -> list[tuple[str, bool, str]]:
 def cmd_reproduce(args) -> int:
     cfg = _load_cfg(args)
     seeds = args.seeds
-    out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    results_path = _output(args, cfg, "reproduce_results.json")
     jobs = [(kind, seed) for kind in MODEL_KINDS for seed in seeds]
     with (concurrent.futures.ProcessPoolExecutor(max_workers=args.workers)
           if args.workers > 1 else contextlib.nullcontext()) as pool:
@@ -304,7 +299,7 @@ def cmd_reproduce(args) -> int:
 
     by_kind = {kind: [results[(kind, seed)] for seed in seeds]
                for kind in MODEL_KINDS}
-    with open(os.path.join(out_dir, "reproduce_results.json"), "w") as fh:
+    with open(results_path, "w") as fh:
         json.dump({"seeds": seeds, "reports": {k: v for k, v in by_kind.items()}},
                   fh, indent=2, sort_keys=True)
 
@@ -332,16 +327,6 @@ def cmd_reproduce(args) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
-# options each explain query needs beyond --checkpoint and --dataset
-_EXPLAIN_NEEDS = {
-    "prototype": ("code",),
-    "neighborhood": ("sample_id", "modality", "radius"),
-    "crossmodal": ("sample_id", "modality"),
-    "substitute": ("sample_id", "modality"),
-    "embedding": (),
-}
-
-
 def _checked(convert, ok, what: str):
     """An argparse type: convert the text, then require ok(value)."""
     def parse(text: str):
@@ -365,37 +350,51 @@ def build_parser() -> argparse.ArgumentParser:
                         type=_checked(int, lambda v: v >= 1, "a positive integer"))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("generate", help="write a dataset JSON file")
+    sub.add_parser("generate", help="write a dataset JSON file").set_defaults(run=cmd_generate)
 
     p_train = sub.add_parser("train", help="train a model on a dataset")
+    p_train.set_defaults(run=cmd_train)
     p_train.add_argument("--dataset", required=True)
     p_train.add_argument("--model", required=True, choices=MODEL_KINDS)
     p_train.add_argument("--regime", choices=REGIMES)
     p_train.add_argument("--local-supervision", action="store_true",
                          help="expose local labels (off by default)")
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--dataset", required=True)
+    pair = argparse.ArgumentParser(add_help=False)      # a checkpoint and its dataset
+    pair.add_argument("--checkpoint", required=True)
+    pair.add_argument("--dataset", required=True)
+
+    p_eval = sub.add_parser("eval", parents=[pair], help="evaluate a checkpoint")
+    p_eval.set_defaults(run=cmd_eval)
     p_eval.add_argument("--metrics", default=METRICS, type=_checked(
         lambda t: tuple(t.split(",")), lambda v: set(v) <= set(METRICS),
         f"a comma list of {','.join(METRICS)}"))
 
     p_expl = sub.add_parser("explain", help="export explanation artifacts")
-    p_expl.add_argument("subcommand", choices=tuple(_EXPLAIN_NEEDS))
-    p_expl.add_argument("--checkpoint", required=True)
-    p_expl.add_argument("--dataset", required=True)
-    p_expl.add_argument("--code", help="bit string for prototype queries",
-                        type=_checked(str, lambda v: set(v) <= {"0", "1"},
-                                      "a string of 0s and 1s"))
-    p_expl.add_argument("--sample-id", type=int)
-    p_expl.add_argument("--modality", choices=MODALITIES)
-    p_expl.add_argument("--radius", type=_checked(float, lambda v: v >= 0,
-                                                  "a nonnegative number"))
-    p_expl.add_argument("--top-k", default=5, type=_checked(int, lambda v: v >= 1,
-                                                            "a positive integer"))
+    p_expl.set_defaults(run=cmd_explain)
+    queries = p_expl.add_subparsers(dest="subcommand", required=True)
+    sample = argparse.ArgumentParser(add_help=False, parents=[pair])   # a sample to explain
+    sample.add_argument("--sample-id", type=int, required=True)
+    sample.add_argument("--modality", choices=MODALITIES, required=True)
+    radius = _checked(float, lambda v: v >= 0, "a nonnegative number")
+
+    p_proto = queries.add_parser("prototype", parents=[pair],
+                                 help="the training sample nearest a code's centroid")
+    p_proto.add_argument("--code", required=True, help="bit string", type=_checked(
+        str, lambda v: set(v) <= {"0", "1"}, "a string of 0s and 1s"))
+    p_near = queries.add_parser("neighborhood", parents=[sample],
+                                help="stored samples within a radius")
+    p_near.add_argument("--radius", required=True, type=radius)
+    p_cross = queries.add_parser("crossmodal", parents=[sample],
+                                 help="other-modality samples: top k, or within a radius")
+    p_cross.add_argument("--radius", type=radius)
+    p_cross.add_argument("--top-k", default=5, type=_checked(int, lambda v: v >= 1,
+                                                             "a positive integer"))
+    queries.add_parser("substitute", parents=[sample], help="stand-in for the other modality")
+    queries.add_parser("embedding", parents=[pair], help="2D PCA of the indexed space")
 
     p_rep = sub.add_parser("reproduce", help="run every model over a seed list")
+    p_rep.set_defaults(run=cmd_reproduce)
     p_rep.add_argument("--seeds", default="0,1,2,3,4", type=_checked(
         lambda t: [int(s) for s in t.split(",")],
         lambda v: min(v) >= 0 and len(set(v)) == len(v),
@@ -410,26 +409,12 @@ _EXIT_CODES = ((NoSuchConceptError, 5), (CheckpointMismatchError, 4), (Configura
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "explain":
-            missing = [f"--{name.replace('_', '-')}"
-                       for name in _EXPLAIN_NEEDS[args.subcommand]
-                       if getattr(args, name) is None]
-            if missing:
-                parser.error(f"explain {args.subcommand} requires {', '.join(missing)}")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    handlers = {
-        "generate": cmd_generate,
-        "train": cmd_train,
-        "eval": cmd_eval,
-        "explain": cmd_explain,
-        "reproduce": cmd_reproduce,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except tuple(t for t, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for t, code in _EXIT_CODES if isinstance(exc, t))

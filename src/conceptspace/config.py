@@ -230,7 +230,6 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
 
-def load_config(path: str, **overrides) -> ExperimentConfig:
+def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
-        d = json.load(fh)
-    return ExperimentConfig.from_dict(d).with_overrides(**overrides)
+        return ExperimentConfig.from_dict(json.load(fh))

@@ -444,14 +444,21 @@ def _int(value, name: str) -> int:
         raise ValueError(f"{name} {json.dumps(value)} is not an integer") from None
 
 
-def _sample_from_record(rec: dict) -> PairedSample:
+def _sample_from_record(rec: dict, random_edge_max: int) -> PairedSample:
     """The sample a record holds, in the types _record writes, if the record is
-    _record of it. Features are checked finite here: NaN is written back as read."""
+    _record of it. Its edges are rebuilt as the generator builds them: the
+    family's own plus at most random_edge_max stored ones, sorted. Features are
+    checked finite here: NaN is written back as read."""
     for value in rec["features"]:
         if not is_finite_real(value):
             raise ValueError(f"feature {value!r} is not a finite number")
-    edges = tuple(tuple(_int(v, "edge endpoint") for v in e) for e in rec["edges"])
-    graph = GraphSample(NODE_COUNT, edges, tuple(rec["features"]), GraphFamily(rec["family"]))
+    family = GraphFamily(rec["family"])
+    own = set(_family_edges(family))
+    edges = own | {tuple(_int(v, "edge endpoint") for v in e) for e in rec["edges"]}
+    if len(edges) - len(own) > random_edge_max:
+        raise ValueError(f"{len(edges) - len(own)} edges beyond the {family.value} "
+                         f"family's, more than random_edge_max {random_edge_max}")
+    graph = GraphSample(NODE_COUNT, tuple(sorted(edges)), tuple(rec["features"]), family)
     bits = TabularSample(tuple(_int(b, "bit") for b in rec["bits"]))
     sample = _paired(_int(rec["id"], "id"), bits, graph)
     note = first_difference(rec, _record(sample))
@@ -488,7 +495,7 @@ def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
         if not isinstance(rec, dict):
             raise DatasetError(f"dataset record {pos} is not a JSON object")
         try:
-            sample = _sample_from_record(rec)
+            sample = _sample_from_record(rec, want["random_edge_max"])
         except KeyError as exc:
             raise DatasetError(f"dataset record {pos} lacks {exc.args[0]}") from None
         except (TypeError, ValueError) as exc:

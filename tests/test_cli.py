@@ -302,11 +302,13 @@ def test_explain_prototype_absent_code_exits_5(workdir, tmp_path, capsys):
         if cand not in seen:
             absent = cand
     code = "".join(str(b) for b in absent)
-    rc = main(["--out", str(tmp_path), "explain", "prototype",
+    out = tmp_path / "out"
+    rc = main(["--out", str(out), "explain", "prototype",
                "--checkpoint", workdir["ckpt"], "--dataset", workdir["dataset"],
                "--code", code])
     assert rc == 5
     assert code in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_explain_prototype_of_a_held_code(workdir, tmp_path, capsys):
@@ -449,6 +451,17 @@ def _report(acc, compl=None, miss=(None, None), retr=None):
             "retrieval_label_match_mean": retr}
 
 
+def test_reproduce_unusable_out_exits_2_before_any_job(tmp_path, monkeypatch, capsys):
+    def job(cfg_dict, kind, seed):
+        raise AssertionError("a job ran")
+
+    monkeypatch.setattr("conceptspace.cli._reproduce_job", job)
+    (tmp_path / "file").write_text("")
+    assert main(["--out", str(tmp_path / "file" / "rep"), "reproduce", "--seeds", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_reproduce_exit_code_follows_the_verdict(tmp_path, monkeypatch, capsys):
     def passing_job(cfg_dict, kind, seed):
         if kind == "shared":
@@ -576,16 +589,39 @@ def test_usage_errors_exit_1():
     assert main(["train", "--model", "nonsense"]) == 1
 
 
-@pytest.mark.parametrize("query", [
-    ["prototype"],
-    ["neighborhood", "--sample-id", "3", "--modality", "graph"],
-    ["crossmodal", "--modality", "graph"],
-    ["substitute", "--sample-id", "3"],
+@pytest.mark.parametrize("query", [       # (command line, the option it lacks)
+    (["prototype"], "--code"),
+    (["neighborhood", "--sample-id", "3", "--modality", "graph"], "--radius"),
+    (["crossmodal", "--modality", "graph"], "--sample-id"),
+    (["substitute", "--sample-id", "3"], "--modality"),
 ])
 def test_explain_query_without_its_options_is_a_usage_error(workdir, query, capsys):
-    assert main(["explain", *query, "--checkpoint", workdir["ckpt"],
+    argv, missing = query
+    assert main(["explain", *argv, "--checkpoint", workdir["ckpt"],
                  "--dataset", workdir["dataset"]]) == 1
-    assert "requires --" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "the following arguments are required:" in err and missing in err
+
+
+@pytest.mark.parametrize("query, stray", [
+    (["prototype", "--code", "0" * 16], ["--radius", "0.3"]),
+    (["substitute", "--sample-id", "3", "--modality", "graph"], ["--top-k", "3"]),
+    (["embedding"], ["--sample-id", "3"]),
+])
+def test_explain_option_the_query_does_not_read_is_a_usage_error(workdir, tmp_path, query,
+                                                                 stray, capsys):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "explain", *query, *stray,
+                 "--checkpoint", workdir["ckpt"], "--dataset", workdir["dataset"]]) == 1
+    assert f"unrecognized arguments: {' '.join(stray)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("query", ["prototype", "neighborhood", "crossmodal", "substitute",
+                                   "embedding"])
+def test_explain_query_help_exits_0(query, capsys):
+    assert main(["explain", query, "-h"]) == 0
+    assert f"usage: conceptspace explain {query}" in capsys.readouterr().out
 
 
 def _with_manifest(raw, edit):
@@ -666,9 +702,11 @@ def test_nonpositive_workers_is_a_usage_error(tmp_path, workers, capsys):
 
 
 def test_prototype_code_of_wrong_width_exits_5(workdir, tmp_path, capsys):
-    assert main(["--out", str(tmp_path), "explain", "prototype", "--code", "101",
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "explain", "prototype", "--code", "101",
                  "--checkpoint", workdir["ckpt"], "--dataset", workdir["dataset"]]) == 5
     assert "16" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edit, named", [

@@ -518,6 +518,10 @@ def _first_endpoint(value):
     lambda d: d.update(seed=float("inf")),
     lambda d: d.update(version=2),
     lambda d: d["samples"].__setitem__(1, [1, 2]),
+    # record 2 is a c4 graph with 2 extra edges, the most random_edge_max allows
+    lambda d: d["samples"][2].update(edges=[[0, 1]]),
+    lambda d: d["samples"][2]["edges"].append([8, 9]),
+    lambda d: d["samples"][1]["edges"].reverse(),
 ], ids=["missing header field", "missing samples", "missing record field",
         "count differs from header", "repeated id", "nine nodes",
         "local_tab disagrees", "local_graph disagrees", "global disagrees",
@@ -526,7 +530,8 @@ def _first_endpoint(value):
         "float seed", "float random_edge_max", "bijection a list",
         "unknown top-level field", "string id", "fractional id", "infinite id", "NaN id",
         "float bit", "infinite bit", "bool endpoint", "float endpoint", "string seed",
-        "infinite seed", "version 2", "record a list"])
+        "infinite seed", "version 2", "record a list", "without its family's edges",
+        "three extra edges", "edges out of order"])
 def test_load_rejects_damaged_dataset(tmp_path, thousand, edit):
     doc = _saved_doc(tmp_path, thousand[:5])
     edit(doc)
@@ -550,9 +555,11 @@ def test_load_rejects_damaged_dataset(tmp_path, thousand, edit):
     (lambda d: d.update(seed=None), "dataset header: seed null is not an integer"),
     (lambda d: d.update(random_edge_max="abc"),
      'dataset header: random_edge_max "abc" is not an integer'),
+    (lambda d: d["samples"][2]["edges"].append([8, 9]),
+     "dataset record 2: 3 edges beyond the c4 family's, more than random_edge_max 2"),
 ], ids=["record a list", "samples not a list", "missing samples", "boolean id",
         "unknown top-level field", "bijection a list", "null id", "NaN id", "null endpoint",
-        "null seed", "string random_edge_max"])
+        "null seed", "string random_edge_max", "three extra edges"])
 def test_damaged_dataset_message(tmp_path, thousand, edit, message):
     doc = _saved_doc(tmp_path, thousand[:5])
     edit(doc)

@@ -1,15 +1,19 @@
 """The demos and the README's quick start use public names only through
-imports, so a removed or renamed name fails here and not in a reader's hands."""
+imports, and every line of README's command-line block parses, so a removed
+or renamed name or option fails here and not in a reader's hands."""
 
 import ast
 import importlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conceptspace import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -55,3 +59,23 @@ def test_dataset_demo_runs(tmp_path):
                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert "generated 1000 paired samples" in run.stdout
+
+
+def readme_commands():
+    """The command lines of README's "Command line" block, each joined over
+    its backslash continuations, without the leading `conceptspace`."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```\n(.*?)```", readme, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.strip()]
+
+
+def test_readme_command_lines_parse():
+    """Every line of the block parses, and every command is shown."""
+    parser, commands = cli.build_parser(), set()
+    for argv in readme_commands():
+        try:
+            commands.add(parser.parse_args(argv).command)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: conceptspace {shlex.join(argv)}")
+    assert commands == {"generate", "train", "eval", "explain", "reproduce"}
