@@ -56,6 +56,10 @@ class DenseEncoder(MLP):
             raise ValueError(f"tabular input must be (b, {N_BITS})")
         return super().forward(x)
 
+    def backward(self, g):
+        # the bits are data: lin1 needs no input gradient
+        self.lin1.backward_params(self.act.backward(self.lin2.backward(g)))
+
 
 class GraphEncoder(Module):
     """Backbone for node-feature/adjacency inputs.
@@ -75,7 +79,7 @@ class GraphEncoder(Module):
         self.acts = [LeakyReLU(cfg.leaky_slope) for _ in range(cfg.graph_layers - 1)]
         self.discretize = discretize
         self.gumbel = GumbelSoftmax(cfg.tau) if discretize else None
-        self._n_nodes = None
+        self._n_nodes = self._inverse = None
 
     def inputs(self, batch: Batch, with_aux: bool = False):
         if with_aux:
@@ -84,35 +88,46 @@ class GraphEncoder(Module):
         return (batch.graph_x, batch.graph_adj)
 
     def forward(self, h, adj=None, mode: str = "train", rng=None, gumbel_mode=None):
-        """In eval mode (no backward follows) a batch of 3 rows or more runs
-        the convolutions once per byte-distinct graph, then gathers rows."""
+        """In every mode, a batch of 3 rows or more runs the convolutions once
+        per byte-distinct graph (nn.distinct_rows), then gathers its rows back
+        before the node concepts, so the Gumbel noise keeps its shape and
+        order. The 128 rows of a default training batch (64 samples and
+        their translation rows, which are 4 canonical family graphs) hold
+        22-52 distinct graphs."""
         if h.ndim != 3 or h.shape[1] < 1 or np.shape(adj) != h.shape[:2] + h.shape[1:2]:
             raise ValueError("graph input must be (b, nodes>=1, 1), adj (b, nodes, nodes)")
         self._n_nodes = h.shape[1]
-        inverse = None
-        if (gumbel_mode or mode) == "eval" and len(h) >= 3:
-            rows, inverse = distinct_rows(np.concatenate([h, adj], axis=2).reshape(len(h), -1))
+        self._inverse = None
+        if len(h) >= 3:
+            rows, self._inverse = distinct_rows(
+                np.concatenate([h, adj], axis=2).reshape(len(h), -1))
             h, adj = h[rows], adj[rows]
         for i, conv in enumerate(self.convs):
             h = conv.forward(h, adj)
             if i < len(self.acts):
                 h = self.acts[i].forward(h)
-        if inverse is not None:
-            h = h[inverse]
+        if self._inverse is not None:
+            h = h[self._inverse]
         if self.discretize:
             node_concepts = self.gumbel.forward(h, gumbel_mode or mode, rng)
             return node_concepts.sum(axis=1)
         return h.sum(axis=1)
 
     def backward(self, g):
+        """After the Gumbel backward, the rows of each distinct graph are
+        summed, in row order, and the convolutions run backward on the
+        distinct graphs as forward ran them."""
         # undo the node sum: every node sees the same upstream gradient
         gh = np.broadcast_to(g[:, None, :], (g.shape[0], self._n_nodes, g.shape[1]))
         if self.discretize:
             gh = self.gumbel.backward(gh)
-        for i in reversed(range(len(self.convs))):
-            if i < len(self.acts):
-                gh = self.acts[i].backward(gh)
-            gh = self.convs[i].backward(gh)
+        if self._inverse is not None:
+            order = np.argsort(self._inverse, kind="stable")
+            starts = np.flatnonzero(np.diff(self._inverse[order], prepend=-1))
+            gh = np.add.reduceat(gh[order], starts, axis=0)
+        for i in range(len(self.convs) - 1, 0, -1):
+            gh = self.acts[i - 1].backward(self.convs[i].backward(gh))
+        self.convs[0].backward_params(gh)        # the node features are data
 
 
 class ConceptStage(Module):
@@ -298,8 +313,10 @@ class SharedConceptModel(ConcatHeadModel):
         and at the local heads (local losses, task rows only)."""
         b = d_logits.shape[0]
         rows = self.shared_stage.rows
-        gs = {m: np.pad(g, ((0, rows - b), (0, 0)))    # no head gradient on aux rows
-              for m, g in self.backward_head(d_logits).items()}
+        gs = {}
+        for m, g in self.backward_head(d_logits).items():
+            gs[m] = np.zeros((rows, g.shape[1]))      # no head gradient on aux rows
+            gs[m][:b] = g
         if d_shared:
             for m, extra in d_shared.items():
                 gs[m] += extra

@@ -94,9 +94,16 @@ class Linear(Module):
         return y
 
     def backward(self, g: np.ndarray) -> np.ndarray:
+        self.backward_params(g)
+        return g @ self.W.T
+
+    def backward_params(self, g: np.ndarray) -> None:
+        """backward without the input's gradient, for a layer whose input is
+        data: accumulate dW and db only. g may keep leading axes (a
+        GraphConv's node blocks); its rows are those of the input."""
+        g = g.reshape(-1, g.shape[-1])
         self.dW += self._x.T @ g
         self.db += g.sum(axis=0)
-        return g @ self.W.T
 
 
 class GraphConv(Linear):
@@ -116,14 +123,25 @@ class GraphConv(Linear):
         return self._adj @ super().backward(g.reshape(b * n, o)).reshape(b, n, -1)
 
 
+def _bits(x: float) -> np.uint64:
+    return np.float64(x).view(np.uint64)
+
+
 class LeakyReLU:
     """x where x > 0, else slope * x. The forward is max(x, slope * x),
-    which is that only for slope <= 1."""
+    which is that only for slope <= 1.
+
+    The backward multiplies g by a factor, 1.0 where x > 0 and slope
+    elsewhere, whose bits are computed from the mask: mask * (bits(1.0) ^
+    bits(slope)) ^ bits(slope). A branch per element on a mask that is set
+    at random costs several times more."""
 
     def __init__(self, slope: float = 0.01):
         if not slope <= 1:
             raise ValueError(f"LeakyReLU slope must be at most 1, not {slope!r}")
         self.slope = slope
+        self._slope_bits = _bits(slope)
+        self._flip_bits = _bits(1.0) ^ self._slope_bits
 
     def forward(self, x):
         self._mask = x > 0
@@ -132,8 +150,11 @@ class LeakyReLU:
         return y
 
     def backward(self, g):
-        y = self.slope * g
-        np.copyto(y, g, where=self._mask)
+        f = self._mask.view(np.uint8).astype(np.uint64)
+        f *= self._flip_bits
+        f ^= self._slope_bits
+        y = f.view(np.float64)
+        y *= g
         return y
 
 

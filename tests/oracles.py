@@ -8,7 +8,9 @@ implementations under test.
 
 The kernel references at the end are the plain expressions that faster
 kernels in conceptspace.nn and conceptspace.tree replaced; the library must
-give their bytes.
+give their bytes. The graph encoder's full-row backward is kept the same
+way: the backward over each batch's distinct graphs that replaced it gives
+its bytes when no graph repeats, and its values to rounding when graphs do.
 """
 
 from itertools import combinations
@@ -138,6 +140,38 @@ def leaky_relu_reference(x, slope):
 
 def leaky_relu_backward_reference(x, g, slope):
     return np.where(x > 0, g, slope * g)
+
+
+def graph_encoder_grads_reference(enc, h, adj, g):
+    """The parameter gradients of GraphEncoder enc for upstream gradient g,
+    the plain way: every row of (h, adj) runs forward and backward through
+    every convolution, and the first one computes its input's gradient too.
+    The node concepts' backward goes through enc.gumbel's last softmax, so
+    enc must have run forward on (h, adj) last."""
+    acts = len(enc.acts)
+    slope = enc.acts[0].slope if acts else 0.0
+    inputs, masks, x = [], [], h
+    for i, conv in enumerate(enc.convs):
+        ax = adj @ x
+        inputs.append(ax.reshape(-1, ax.shape[-1]))
+        x = (inputs[-1] @ conv.W + conv.b).reshape(len(h), h.shape[1], -1)
+        if i < acts:
+            masks.append(x > 0)
+            x = np.where(x > 0, x, slope * x)
+    gh = np.broadcast_to(g[:, None, :], x.shape)
+    if enc.discretize:
+        s = enc.gumbel._soft
+        gh = (gh - (gh * s).sum(axis=-1, keepdims=True)) * s / enc.gumbel.tau
+    grads = {}
+    for i in reversed(range(len(enc.convs))):
+        conv = enc.convs[i]
+        if i < acts:
+            gh = np.where(masks[i], gh, slope * gh)
+        g2 = gh.reshape(-1, gh.shape[-1])
+        grads[f"{conv.name}.W"] = np.zeros_like(conv.W) + inputs[i].T @ g2
+        grads[f"{conv.name}.b"] = np.zeros_like(conv.b) + g2.sum(axis=0)
+        gh = adj @ (g2 @ conv.W.T).reshape(len(h), h.shape[1], -1)
+    return grads
 
 
 def sigmoid_reference(x):

@@ -44,3 +44,21 @@ def test_a_run_of_one_tree_against_itself_prints_its_summary():
 
 def test_a_serve_query_run_of_one_tree_against_itself_prints_its_summary():
     _check_a_run_of_one_tree_against_itself("serve_query")
+
+
+@pytest.mark.parametrize("unit, epochs", [("train", 30), ("train_epoch", 1)])
+def test_train_units_run_the_benchmarks_fit_operation(unit, epochs, monkeypatch):
+    """A train unit times train() of a fresh default shared model, initialised
+    as the benchmark's fit initialises it, on the default dataset of --seed."""
+    import conceptspace as cs
+    from conceptspace.rng import substream
+
+    calls = []
+    monkeypatch.setattr(cs, "train", lambda model, ds, cfg: calls.append((model, ds, cfg)))
+    run = abtime.UNITS[unit](cs, 3)
+    assert run() > 0 and len(calls) == 1
+    model, ds, cfg = calls[0]
+    assert cfg == cs.ExperimentConfig(seed=3, plan=cs.TrainPlan(epochs=epochs))
+    assert (len(ds.train), len(ds.test)) == (800, 200)
+    fresh = cs.SharedConceptModel(cfg, substream(3, "init")).parameters()
+    assert all(v.tobytes() == fresh[k].tobytes() for k, v in model.parameters().items())

@@ -8,14 +8,17 @@ from conceptspace.data import generate_xor_and_xor, translation_batch, whole_bat
 from conceptspace.errors import CheckpointMismatchError
 from conceptspace.model import (
     ConceptStage,
+    DenseEncoder,
     GraphEncoder,
     SharedConceptModel,
     load_model,
     read_manifest,
     save_model,
 )
-from conceptspace.nn import BatchRescale, distinct_rows, sigmoid
+from conceptspace.nn import BatchRescale, MLP, distinct_rows, sigmoid
 from conceptspace.rng import substream
+
+from oracles import graph_encoder_grads_reference
 
 cfg = ExperimentConfig()
 
@@ -248,7 +251,7 @@ def test_tabular_shape_checked(fresh_model):
         fresh_model.encoders["tabular"].forward(np.zeros((4, 5)))
 
 
-# -- eval mode encodes each distinct graph once -----------------------------------------
+# -- every mode encodes each distinct graph once ----------------------------------------
 
 GRAPH_KINDS = ("shared", "mod_graph", "cbm_graph", "simple", "concept", "relative")
 
@@ -322,17 +325,102 @@ def test_repeated_graphs_encode_as_their_rows(kind, distinct_graphs, dedup_calls
     assert got.tobytes() == want[[rows.index(keys.index(k)) for k in keys]].tobytes()
 
 
-def test_small_batches_and_training_skip_the_dedup(distinct_graphs, dedup_calls):
+def test_training_dedups_and_small_batches_skip_it(distinct_graphs, dedup_calls):
     samples, _, batch = distinct_graphs
     model = eval_ready("shared", samples, batch)
+    assert dedup_calls == [(len(batch), len(batch))]           # eval_ready's training forward
+    dedup_calls.clear()
     twice = batch.take(np.array([0, 0, 1, 1]))
     train_forward(model, twice, with_aux=True)
     model.forward(twice, "train", gumbel_mode="soft")
+    assert dedup_calls[1] == (4, 2) and dedup_calls[0][0] == 8
+    dedup_calls.clear()
+    train_forward(model, twice.take(np.array([0, 1])))
     for rows in ([0], [0, 1], [1, 2]):                 # serve's single-query path
         model.index_spaces(twice.take(np.array(rows)))
     assert dedup_calls == []
     model.index_spaces(twice.take(np.array([0, 1, 2])))
     assert dedup_calls == [(3, 2)]
+
+
+# -- training runs the convolutions once per distinct graph ------------------------------
+
+def encoder_gradients(enc, h, adj, mode, seed=1):
+    """(grads after enc.backward, the full-row reference's grads) for a random
+    upstream gradient, after a forward in `mode`: "train" draws node
+    concepts, "soft" takes the tempered softmax."""
+    z = enc.forward(h, adj, "train", np.random.default_rng(seed),
+                    gumbel_mode=None if mode == "train" else mode)
+    g = np.random.default_rng(seed + 1).normal(size=z.shape)
+    enc.zero_grad()
+    enc.backward(g)
+    return enc.grads(), graph_encoder_grads_reference(enc, h, adj, g)
+
+
+@pytest.mark.parametrize("mode", ["train", "soft"])
+@pytest.mark.parametrize("discretize", [True, False])
+def test_grouped_graph_backward_equals_the_full_row_one(distinct_graphs, mode, discretize):
+    _, _, batch = distinct_graphs
+    repeated = batch.take(np.random.default_rng(0).integers(0, 12, size=40))
+    enc = GraphEncoder(cfg, substream(0, "init"), "enc.graph", discretize=discretize)
+    h, adj = enc.inputs(repeated, with_aux=True)
+    got, want = encoder_gradients(enc, h, adj, mode)
+    assert got.keys() == want.keys() and len(got) == 2 * cfg.graph_layers
+    for name in got:      # to 1e-12 of each array's largest entry: sums differ in order
+        assert np.abs(got[name] - want[name]).max() <= 1e-12 * np.abs(want[name]).max(), name
+
+
+@pytest.mark.parametrize("mode", ["train", "soft"])
+def test_grouped_graph_backward_has_the_full_row_bytes_when_no_graph_repeats(
+        distinct_graphs, mode):
+    _, _, batch = distinct_graphs
+    enc = GraphEncoder(cfg, substream(0, "init"), "enc.graph")
+    got, want = encoder_gradients(enc, *enc.inputs(batch), mode)
+    assert got.keys() == want.keys()
+    for name in got:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_grouped_graph_backward_against_finite_differences(distinct_graphs):
+    _, _, batch = distinct_graphs
+    repeated = batch.take(np.array([0, 1, 0, 2, 1, 0]))
+    small = cfg.with_overrides(graph_hidden=4)
+    enc = GraphEncoder(small, substream(0, "init"), "enc.graph")
+    h, adj = enc.inputs(repeated, with_aux=True)
+    w = np.random.default_rng(3).normal(size=(len(h), small.local_width))
+
+    def loss():
+        return float((w * enc.forward(h, adj, "train", gumbel_mode="soft")).sum())
+
+    loss()
+    enc.zero_grad()
+    enc.backward(w)
+    step = 1e-5
+    for name, param in enc.parameters().items():
+        flat, fd = param.reshape(-1), np.zeros(param.size)
+        for i in range(param.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = loss()
+            flat[i] = orig - step
+            down = loss()
+            flat[i] = orig
+            fd[i] = (up - down) / (2 * step)
+        analytic = enc.grads()[name].reshape(-1)
+        err = np.linalg.norm(analytic - fd) / (np.linalg.norm(fd) + 1e-12)
+        assert err < 1e-6, (name, err)
+
+
+def test_dense_encoder_skips_only_its_input_gradient(batch16):
+    enc = DenseEncoder(cfg, substream(0, "init"), "enc.tabular")
+    g = np.random.default_rng(0).normal(size=(16, cfg.local_width))
+    enc.forward(batch16.tab_x)
+    MLP.backward(enc, g)
+    want = {k: v.copy() for k, v in enc.grads().items()}
+    enc.zero_grad()
+    assert enc.backward(g) is None
+    for name, got in enc.grads().items():
+        assert got.tobytes() == want[name].tobytes(), name
 
 
 # -- permutation equivariance ---------------------------------------------------------

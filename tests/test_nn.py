@@ -137,6 +137,26 @@ def test_relu_and_leaky_backward():
     assert np.allclose(leaky.backward(np.ones_like(x)), [[0.1, 1.0]])
 
 
+def test_backward_params_accumulates_the_bytes_of_backward():
+    """The first layer of an encoder skips its input's gradient; its own
+    gradients keep their bytes."""
+    r = np.random.default_rng(4)
+    adj = r.uniform(size=(6, 5, 5))
+    adj = adj + adj.transpose(0, 2, 1)
+    for make, x, extra, g in [
+            (lambda: Linear(3, 4, np.random.default_rng(0), "lin"), r.normal(size=(9, 3)), (),
+             r.normal(size=(9, 4))),
+            (lambda: GraphConv(3, 4, np.random.default_rng(0), "conv"),
+             r.normal(size=(6, 5, 3)), (adj,), r.normal(size=(6, 5, 4)))]:
+        full, params_only = make(), make()
+        for layer in (full, params_only):
+            layer.forward(x, *extra)
+        assert full.backward(g).shape == x.shape
+        assert params_only.backward_params(g) is None
+        for got, want in ((params_only.dW, full.dW), (params_only.db, full.db)):
+            assert got.tobytes() == want.tobytes()
+
+
 # -- categorical assignment ---------------------------------------------------------
 
 def test_gumbel_eval_is_deterministic_one_hot():
@@ -418,7 +438,7 @@ def same_bytes(got, want) -> bool:
     return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
-@pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0, -0.2])
+@pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0, -0.2, -0.0, 1e-300])
 def test_leaky_relu_has_the_bytes_of_the_where_form(slope):
     r = np.random.default_rng(3)
     for x in kernel_inputs():

@@ -2,7 +2,7 @@
 
     python tools/abtime.py A_TREE B_TREE --unit serve_op --pairs 60
     python tools/abtime.py A_TREE B_TREE --unit serve_query --pairs 60
-    python tools/abtime.py A_TREE B_TREE --unit train_epoch --seed 5 --pairs 60
+    python tools/abtime.py A_TREE B_TREE --unit train --seed 5 --pairs 20
 
 Each tree is a checkout with the package under `src/` (`git archive` makes
 one of another commit). One long-lived worker process per tree imports that
@@ -22,8 +22,11 @@ Units (public names only, so any two commits of the package can be compared):
   train and test splits. Each query encodes its sample alone
   (`encode_samples`) and then asks. `build_index` of the training split runs
   once, at set-up; both trees draw the same queries.
-- `train_epoch`: `train()` of a fresh default shared model, seeded by
-  `--seed`, with `plan.epochs=1` on the default dataset of that seed.
+- `train`: the benchmark's `fit` operation, `train()` of a fresh default
+  shared model (initialised from `--seed` as the benchmark does) for 30
+  epochs, the benchmark's `fit_epochs`, on the default dataset of that seed.
+- `train_epoch`: the same with `plan.epochs=1`. Packing and the per-epoch
+  evaluation weigh more in it than in `train`.
 
 It prints each side's median unit time and, over the pairs, the median and
 interquartile range of the B/A time ratio, the number of pairs in which B
@@ -91,19 +94,22 @@ def serve_query(cs, seed: int):
     return run
 
 
-def train_epoch(cs, seed: int):
-    cfg = cs.ExperimentConfig(seed=seed, plan=cs.TrainPlan(epochs=1))
-    ds = _dataset(cs, cfg)
+def _train(epochs: int):
+    def unit(cs, seed: int):
+        cfg = cs.ExperimentConfig(seed=seed, plan=cs.TrainPlan(epochs=epochs))
+        ds = _dataset(cs, cfg)
 
-    def run() -> float:
-        model = cs.SharedConceptModel(cfg, np.random.default_rng(seed))
-        t0 = time.perf_counter()
-        cs.train(model, ds, cfg)
-        return time.perf_counter() - t0
-    return run
+        def run() -> float:
+            model = cs.SharedConceptModel(cfg, cs.rng.substream(seed, "init"))
+            t0 = time.perf_counter()
+            cs.train(model, ds, cfg)
+            return time.perf_counter() - t0
+        return run
+    return unit
 
 
-UNITS = {"serve_op": serve_op, "serve_query": serve_query, "train_epoch": train_epoch}
+UNITS = {"serve_op": serve_op, "serve_query": serve_query, "train": _train(30),
+         "train_epoch": _train(1)}
 
 
 def worker(tree: str, unit: str, seed: int) -> None:
