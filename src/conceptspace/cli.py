@@ -4,29 +4,30 @@ Exit codes: 0 success; 1 usage error (e.g. a --workers below 1, a repeated seed
 in reproduce --seeds, or an option the explain query does not read, as in
 explain prototype --radius); 2 I/O failure or a dataset file that is not what
 generate writes for the header and samples rebuilt from it (e.g. an unknown
-field anywhere, or 1.0, "1" or true for an id, bit, edge endpoint or label it
-writes as 1, or a graph without its family's edges) or that holds a non-finite
-feature; 3 configuration or model/regime mismatch (e.g. an integer field
-holding a fraction or a boolean, a number field that is not finite, a string
-field holding something else, not one loss.betas weight per modality, an
-anchor_count above the training split; loss.betas above 0 outside end_to_end or
-on a baseline; local_pretrain or loss.betas above 0 without
-use_local_supervision) or diverged training (a non-finite loss, gradient or
-test logit); 4 a checkpoint that is not what train writes for its model (e.g. a
-manifest that is not a JSON object, a flag that is not true or false, a missing
-or extra rescale flag, a non-finite value, a negative running_var), or eval or
-explain on an untrained model; 5 explanation-domain error (e.g. a concept code
-no training sample carries); 6 a reproduce verdict of FAIL, after its table,
-lines and reproduce_results.json are written. A seed list shorter than 4 always
-fails, because the completeness line needs 4 wins.
+field anywhere, 1.0, "1" or true for an id, bit, edge endpoint or label it
+writes as 1, a graph without its family's edges, an endpoint outside the graph,
+or features other than the betweenness of its edges); 3 configuration or
+model/regime mismatch (e.g. an integer field holding a fraction or a boolean, a
+number field that is not finite, a string field holding something else, not one
+loss.betas weight per modality, an anchor_count above the training split;
+loss.betas above 0 outside end_to_end or on a baseline; local_pretrain or
+loss.betas above 0 without use_local_supervision) or diverged training (a
+non-finite loss, gradient or test logit); 4 a checkpoint that is not what train
+writes for its model (e.g. a manifest that is not a JSON object, a flag that is
+not true or false, a missing or extra rescale flag, a non-finite value, a
+negative running_var), or eval or explain on an untrained model; 5
+explanation-domain error (e.g. a concept code no training sample carries); 6 a
+reproduce verdict of FAIL, after its table, lines and reproduce_results.json
+are written. A seed list shorter than 4 always fails, because the completeness
+line needs 4 wins.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import contextlib
 import json
+import multiprocessing
 import os
 import sys
 from dataclasses import replace
@@ -243,6 +244,26 @@ def cmd_explain(args) -> int:
 
 # -- reproduce -------------------------------------------------------------------
 
+_BLAS_THREADS = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+
+
+def _map(fn, workers: int, *iterables) -> list:
+    """fn over the iterables, in order: here when workers is 1, else in
+    spawned processes that start with BLAS on one thread each, so that they do
+    not oversubscribe the cores; this process's environment is put back."""
+    if workers == 1:
+        return list(map(fn, *iterables))
+    saved = os.environ.copy()
+    os.environ.update(_BLAS_THREADS)
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, *iterables))
+    finally:
+        os.environ.clear()
+        os.environ.update(saved)
+
+
 def _reproduce_job(cfg_dict: dict, kind: str, seed: int) -> dict:
     cfg = ExperimentConfig.from_dict(cfg_dict).with_overrides(seed=seed)
     model, ds, _ = _train_one(cfg, _generate(cfg), kind)
@@ -292,16 +313,13 @@ def cmd_reproduce(args) -> int:
     seeds = args.seeds
     results_path = _output(args, cfg, "reproduce_results.json")
     jobs = [(kind, seed) for kind in MODEL_KINDS for seed in seeds]
-    with (concurrent.futures.ProcessPoolExecutor(max_workers=args.workers)
-          if args.workers > 1 else contextlib.nullcontext()) as pool:
-        results = dict(zip(jobs, (pool.map if pool else map)(
-            _reproduce_job, [cfg.to_dict()] * len(jobs), *zip(*jobs))))
+    results = dict(zip(jobs, _map(_reproduce_job, args.workers,
+                                  [cfg.to_dict()] * len(jobs), *zip(*jobs))))
 
     by_kind = {kind: [results[(kind, seed)] for seed in seeds]
                for kind in MODEL_KINDS}
     with open(results_path, "w") as fh:
-        json.dump({"seeds": seeds, "reports": {k: v for k, v in by_kind.items()}},
-                  fh, indent=2, sort_keys=True)
+        json.dump({"seeds": seeds, "reports": by_kind}, fh, indent=2, sort_keys=True)
 
     def cell(values):
         if any(v is None for v in values):

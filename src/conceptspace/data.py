@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import first_difference, is_finite_real, train_size
+from .config import first_difference, train_size
 from .errors import DatasetError
 from .rng import substream
 
@@ -157,19 +157,19 @@ def betweenness(node_count: int, edges) -> np.ndarray:
     """Normalized betweenness centrality (Brandes, unweighted, undirected).
 
     Normalizer is (n-1)(n-2)/2, the number of node pairs excluding the
-    vertex itself; isolated nodes score 0.
+    vertex itself; isolated nodes score 0. Python floats round as float64.
     """
     adj = [[] for _ in range(node_count)]
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
-    score = np.zeros(node_count)
+    score = [0.0] * node_count
     for s in range(node_count):
         stack = []
         preds = [[] for _ in range(node_count)]
-        sigma = np.zeros(node_count)
+        sigma = [0.0] * node_count
         sigma[s] = 1.0
-        dist = np.full(node_count, -1)
+        dist = [-1] * node_count
         dist[s] = 0
         queue = deque([s])
         while queue:
@@ -182,7 +182,7 @@ def betweenness(node_count: int, edges) -> np.ndarray:
                 if dist[w] == dist[v] + 1:
                     sigma[w] += sigma[v]
                     preds[w].append(v)
-        delta = np.zeros(node_count)
+        delta = [0.0] * node_count
         while stack:
             w = stack.pop()
             for v in preds[w]:
@@ -190,8 +190,16 @@ def betweenness(node_count: int, edges) -> np.ndarray:
             if w != s:
                 score[w] += delta[w]
     # each unordered pair was visited from both endpoints
-    score /= 2.0
-    return score / ((node_count - 1) * (node_count - 2) / 2.0)
+    return np.array(score) / 2.0 / ((node_count - 1) * (node_count - 2) / 2.0)
+
+
+def _graph(family: GraphFamily, extra_edges) -> GraphSample:
+    """The graph of `family` with `extra_edges` added: its edges sorted, its
+    features their betweenness. Every graph is built here; the edges are
+    checked (ValueError) before any feature is computed."""
+    edges = tuple(sorted(set(_family_edges(family)).union(extra_edges)))
+    graph = GraphSample(NODE_COUNT, edges, (0.0,) * NODE_COUNT, family)   # checks the edges
+    return replace(graph, node_features=tuple(betweenness(NODE_COUNT, edges).tolist()))
 
 
 def generate_xor_and_xor(n_samples: int, seed: int, random_edge_max: int = 2,
@@ -206,6 +214,7 @@ def generate_xor_and_xor(n_samples: int, seed: int, random_edge_max: int = 2,
         raise ValueError("random_edge_max must be nonnegative")
     _table(_BIJECTIONS, bijection)     # rejects an unknown bijection
     rng = substream(seed, "data")
+    graph = functools.cache(_graph)      # each distinct graph built once per call
     samples = []
     for sid in range(n_samples):
         bits = tuple(int(b) for b in rng.integers(0, 2, size=N_BITS))
@@ -218,10 +227,7 @@ def generate_xor_and_xor(n_samples: int, seed: int, random_edge_max: int = 2,
             if not free:
                 break
             edges.add(free[rng.integers(0, len(free))])
-        edge_tuple = tuple(sorted(edges))
-        feats = betweenness(NODE_COUNT, edge_tuple)
-        graph = GraphSample(NODE_COUNT, edge_tuple, tuple(float(f) for f in feats), family)
-        samples.append(_paired(sid, TabularSample(bits), graph))
+        samples.append(_paired(sid, TabularSample(bits), graph(family, frozenset(edges))))
     return samples
 
 
@@ -270,10 +276,10 @@ def _canonical_graph(family: GraphFamily):
     """A family's canonical graph as (edges, betweenness features). It
     depends on the family alone, so it is computed once per family; the
     features are read-only because every caller shares them."""
-    edges = tuple(sorted(_family_edges(family)))
-    feats = betweenness(NODE_COUNT, edges)
+    graph = _graph(family, ())
+    feats = np.array(graph.node_features)
     feats.setflags(write=False)
-    return edges, feats
+    return graph.edges, feats
 
 
 def graph_rendering(sample: PairedSample, bijection: str = "default"):
@@ -313,21 +319,18 @@ class Batch:
                        local={m: v[idx] for m, v in self.local.items()}, **arrays)
 
 
-def normalized_adjacency(node_count: int, edges) -> np.ndarray:
-    """Symmetric degree-normalized adjacency with self-loops."""
-    return _adjacency_stack(node_count, [edges])[0]
-
-
-def _adjacency_stack(node_count: int, edge_lists) -> np.ndarray:
-    """normalized_adjacency of each edge list, stacked: (len, node_count, node_count)."""
-    nn = node_count * node_count
-    a = np.zeros((len(edge_lists), node_count, node_count))
-    a.reshape(-1, nn)[:, ::node_count + 1] = 1.0          # a view: self-loops
-    a.put([k * nn + p for k, edges in enumerate(edge_lists) for i, j in edges
-           for p in (i * node_count + j, j * node_count + i)], 1.0)
-    d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=2))
-    a *= d_inv_sqrt[:, :, None]
-    a *= d_inv_sqrt[:, None, :]
+@functools.lru_cache(maxsize=1 << 12)
+def normalized_adjacency(node_count: int, edges: tuple) -> np.ndarray:
+    """Symmetric degree-normalized adjacency with self-loops. Cached for the
+    process, at most 4,096 edge tuples (about 1 KB each at 10 nodes); the
+    array is read-only because every caller shares it."""
+    a = np.eye(node_count)
+    for i, j in edges:
+        a[i, j] = a[j, i] = 1.0
+    d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    a *= d_inv_sqrt[:, None]
+    a *= d_inv_sqrt[None, :]
+    a.setflags(write=False)
     return a
 
 
@@ -339,12 +342,10 @@ def one_hot(labels: np.ndarray) -> np.ndarray:
 
 
 def _pack(graphs) -> tuple[np.ndarray, np.ndarray]:
-    """(graph_x, graph_adj) of a list of (edges, features) graphs, with one
-    normalized adjacency per distinct edge tuple, gathered into the rows."""
-    distinct = {}          # each distinct edge tuple -> its row in the stack
-    rows = [distinct.setdefault(edges, len(distinct)) for edges, _ in graphs]
+    """(graph_x, graph_adj) of a list of (edges, features) graphs."""
     x = np.array([feats for _, feats in graphs], dtype=float)
-    return x.reshape(len(x), NODE_COUNT, 1), _adjacency_stack(NODE_COUNT, list(distinct))[rows]
+    adj = np.array([normalized_adjacency(NODE_COUNT, edges) for edges, _ in graphs])
+    return x.reshape(-1, NODE_COUNT, 1), adj.reshape(-1, NODE_COUNT, NODE_COUNT)
 
 
 def as_arrays(samples, bijection: str = "default", with_aux: bool = True) -> Batch:
@@ -444,23 +445,19 @@ def _int(value, name: str) -> int:
         raise ValueError(f"{name} {json.dumps(value)} is not an integer") from None
 
 
-def _sample_from_record(rec: dict, random_edge_max: int) -> PairedSample:
+def _sample_from_record(rec: dict, random_edge_max: int, graph) -> PairedSample:
     """The sample a record holds, in the types _record writes, if the record is
-    _record of it. Its edges are rebuilt as the generator builds them: the
-    family's own plus at most random_edge_max stored ones, sorted. Features are
-    checked finite here: NaN is written back as read."""
-    for value in rec["features"]:
-        if not is_finite_real(value):
-            raise ValueError(f"feature {value!r} is not a finite number")
+    _record of it. `graph` (_graph or a cache of it) rebuilds its graph from the
+    family and the stored edges, at most random_edge_max beyond the family's,
+    as the generator builds it: features included."""
     family = GraphFamily(rec["family"])
-    own = set(_family_edges(family))
-    edges = own | {tuple(_int(v, "edge endpoint") for v in e) for e in rec["edges"]}
-    if len(edges) - len(own) > random_edge_max:
-        raise ValueError(f"{len(edges) - len(own)} edges beyond the {family.value} "
+    stored = frozenset(tuple(_int(v, "edge endpoint") for v in e) for e in rec["edges"])
+    extra = len(stored - set(_family_edges(family)))
+    if extra > random_edge_max:
+        raise ValueError(f"{extra} edges beyond the {family.value} "
                          f"family's, more than random_edge_max {random_edge_max}")
-    graph = GraphSample(NODE_COUNT, tuple(sorted(edges)), tuple(rec["features"]), family)
     bits = TabularSample(tuple(_int(b, "bit") for b in rec["bits"]))
-    sample = _paired(_int(rec["id"], "id"), bits, graph)
+    sample = _paired(_int(rec["id"], "id"), bits, graph(family, stored))
     note = first_difference(rec, _record(sample))
     if note:
         raise ValueError(note)
@@ -469,9 +466,9 @@ def _sample_from_record(rec: dict, random_edge_max: int) -> PairedSample:
 
 def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
     """Read a file written by save_dataset: accepted only if it is what
-    save_dataset writes for the header and samples rebuilt from it, in types
-    as well as values (true, 1.0 and "1" differ from 1), with finite features
-    taken as stored and no id repeated; anything else raises DatasetError."""
+    save_dataset writes for the header and samples rebuilt from it (each
+    distinct graph once), in types as well as values (true, 1.0 and "1" differ
+    from 1), with no id repeated; anything else raises DatasetError."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -490,12 +487,12 @@ def load_dataset(path: str) -> tuple[list[PairedSample], dict]:
     note = first_difference({k: v for k, v in doc.items() if k != "samples"}, want)
     if note:
         raise DatasetError(f"dataset header: {note}")
-    samples, seen = [], set()
+    samples, seen, graph = [], set(), functools.cache(_graph)
     for pos, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise DatasetError(f"dataset record {pos} is not a JSON object")
         try:
-            sample = _sample_from_record(rec, want["random_edge_max"])
+            sample = _sample_from_record(rec, want["random_edge_max"], graph)
         except KeyError as exc:
             raise DatasetError(f"dataset record {pos} lacks {exc.args[0]}") from None
         except (TypeError, ValueError) as exc:

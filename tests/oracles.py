@@ -7,12 +7,13 @@ majority-vote-per-cluster for completeness. None of it shares code with the
 implementations under test.
 
 The kernel references at the end are the plain expressions that faster
-kernels in conceptspace.nn and conceptspace.tree replaced; the library must
-give their bytes. The graph encoder's full-row backward is kept the same
+kernels in conceptspace.nn, conceptspace.tree and conceptspace.data replaced;
+the library must give their bytes. The graph encoder's full-row backward is kept the same
 way: the backward over each batch's distinct graphs that replaced it gives
 its bytes when no graph repeats, and its values to rounding when graphs do.
 """
 
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -172,6 +173,57 @@ def graph_encoder_grads_reference(enc, h, adj, g):
         grads[f"{conv.name}.b"] = np.zeros_like(conv.b) + g2.sum(axis=0)
         gh = adj @ (g2 @ conv.W.T).reshape(len(h), h.shape[1], -1)
     return grads
+
+
+def betweenness_reference(node_count: int, edges) -> np.ndarray:
+    """Brandes' betweenness on numpy arrays and scalars, normalized as
+    conceptspace.data.betweenness normalizes it."""
+    adj = [[] for _ in range(node_count)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    score = np.zeros(node_count)
+    for s in range(node_count):
+        stack = []
+        preds = [[] for _ in range(node_count)]
+        sigma = np.zeros(node_count)
+        sigma[s] = 1.0
+        dist = np.full(node_count, -1)
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = np.zeros(node_count)
+        while stack:
+            w = stack.pop()
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                score[w] += delta[w]
+    score /= 2.0
+    return score / ((node_count - 1) * (node_count - 2) / 2.0)
+
+
+def adjacency_stack_reference(node_count: int, edge_lists) -> np.ndarray:
+    """The normalized adjacency of each edge list, built in one stacked
+    array: (len, node_count, node_count)."""
+    nn = node_count * node_count
+    a = np.zeros((len(edge_lists), node_count, node_count))
+    a.reshape(-1, nn)[:, ::node_count + 1] = 1.0          # a view: self-loops
+    a.put([k * nn + p for k, edges in enumerate(edge_lists) for i, j in edges
+           for p in (i * node_count + j, j * node_count + i)], 1.0)
+    d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=2))
+    a *= d_inv_sqrt[:, :, None]
+    a *= d_inv_sqrt[:, None, :]
+    return a
 
 
 def sigmoid_reference(x):

@@ -46,6 +46,40 @@ def test_a_serve_query_run_of_one_tree_against_itself_prints_its_summary():
     _check_a_run_of_one_tree_against_itself("serve_query")
 
 
+@pytest.mark.parametrize("unit", ["setup", "load"])
+def test_a_data_unit_run_of_one_tree_against_itself_prints_its_summary(unit):
+    _check_a_run_of_one_tree_against_itself(unit)
+
+
+def test_setup_unit_generates_and_splits_the_default_dataset(monkeypatch):
+    """The setup unit is the benchmark's set-up: generate and split the
+    default dataset of --seed."""
+    import conceptspace as cs
+
+    calls = []
+    monkeypatch.setattr(cs, "split", lambda *args: calls.append(args))
+    run = abtime.UNITS["setup"](cs, 3)
+    assert run() > 0 and run() > 0 and len(calls) == 2
+    samples, ratio, seed = calls[0]
+    cfg = cs.ExperimentConfig(seed=3)
+    assert (ratio, seed) == (cfg.split_ratio, 3)
+    assert samples == cs.generate_xor_and_xor(cfg.n_samples, 3, cfg.random_edge_max)
+
+
+def test_load_unit_loads_the_default_dataset_saved_at_setup(monkeypatch):
+    import conceptspace as cs
+
+    loaded = []
+    honest = cs.load_dataset
+    monkeypatch.setattr(cs, "load_dataset", lambda path: loaded.append(honest(path)))
+    run = abtime.UNITS["load"](cs, 3)
+    assert run() > 0 and run() > 0 and len(loaded) == 2
+    samples, header = loaded[0]
+    cfg = cs.ExperimentConfig(seed=3)
+    assert header == cs.data.dataset_header(1000, 3, cfg.random_edge_max, cfg.bijection)
+    assert samples == cs.generate_xor_and_xor(1000, 3, cfg.random_edge_max)
+
+
 @pytest.mark.parametrize("unit, epochs", [("train", 30), ("train_epoch", 1)])
 def test_train_units_run_the_benchmarks_fit_operation(unit, epochs, monkeypatch):
     """A train unit times train() of a fresh default shared model, initialised

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conceptspace import cli
 from conceptspace.baselines import build_baseline
 from conceptspace.cli import main
 from conceptspace.config import ExperimentConfig, TrainPlan, load_config
-from conceptspace.data import load_dataset
+from conceptspace.data import GraphFamily, _family_edges, load_dataset
 from conceptspace.model import SharedConceptModel, save_model
 from conceptspace.rng import substream
 
@@ -444,6 +445,18 @@ def test_reproduce_parallel_workers_match_serial(tmp_path, capsys):
     assert a == b
 
 
+def test_reproduce_workers_run_blas_on_one_thread(monkeypatch):
+    """Each worker starts with the BLAS thread variables at 1, whatever this
+    process holds, and this process's environment is left as it was."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    names = sorted(cli._BLAS_THREADS) * 2
+    assert cli._map(os.getenv, 2, names) == ["1"] * len(names)
+    assert dict(os.environ) == before
+    assert cli._map(os.getenv, 1, ["OPENBLAS_NUM_THREADS"]) == ["4"]
+
+
 def _report(acc, compl=None, miss=(None, None), retr=None):
     """One evaluation report as reproduce reads it."""
     return {"accuracy": acc, "completeness": compl,
@@ -819,6 +832,23 @@ def _retyped_1(key, cast):
     return edit
 
 
+def _features(k, change):
+    """An edit that sets record k's features to change(them, the document)."""
+    def edit(d):
+        d["samples"][k]["features"] = change(d["samples"][k]["features"], d)
+        return d
+    return edit
+
+
+def _edge_1(pair):
+    """An edit that gives record 1 its family's edges plus `pair`."""
+    def edit(d):
+        family = GraphFamily(d["samples"][1]["family"])
+        d["samples"][1]["edges"] = sorted(map(list, _family_edges(family))) + [list(pair)]
+        return d
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: {"version": 1},
     lambda d: {**d, "n_samples": d["n_samples"] - 1},
@@ -838,11 +868,19 @@ def _retyped_1(key, cast):
     lambda d: {**d, "bijection": "rotated"},
     lambda d: {**d, "seed": float(d["seed"])},
     lambda d: {**d, "colour": "red"},
+    _features(2, lambda f, d: [0 if v == 0 else v for v in f]),
+    _features(1, lambda f, d: [float(np.nextafter(f[0], 1.0))] + f[1:]),
+    _features(1, lambda f, d: d["samples"][2]["features"]),
+    _features(2, lambda f, d: [-0.0 if v == 0 else v for v in f]),
+    _edge_1((3, 10)),
+    _edge_1((-1, 3)),
 ], ids=["version only", "count differs from header", "repeated id",
         "string feature", "float endpoint", "list feature", "bool endpoint",
         "NaN feature", "bool feature", "huge feature", "bool bits",
         "boolean global", "float local_tab", "unknown record field", "top level an array",
-        "unknown bijection", "float seed", "unknown top-level field"])
+        "unknown bijection", "float seed", "unknown top-level field",
+        "integer-valued features", "feature one ulp off", "another record's features",
+        "negative zero feature", "endpoint 10", "endpoint -1"])
 def test_damaged_dataset_exits_2(workdir, tmp_path, edit, capsys):
     doc = json.loads(open(workdir["dataset"]).read())
     bad = tmp_path / "dataset.json"

@@ -31,7 +31,14 @@ from conceptspace.data import (
 )
 from conceptspace.errors import DatasetError
 
-from oracles import adjacency_oracle, betweenness_oracle, label_oracle
+from conceptspace import data
+from oracles import (
+    adjacency_oracle,
+    adjacency_stack_reference,
+    betweenness_oracle,
+    betweenness_reference,
+    label_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +195,62 @@ def test_stored_features_are_betweenness(thousand):
     for s in thousand[:50]:
         want = betweenness(s.graph.node_count, s.graph.edges)
         assert np.allclose(s.graph.node_features, want, atol=1e-15)
+
+
+@pytest.fixture(scope="module")
+def edge_sets():
+    """Every distinct edge set of seeds 0-4 at 1000 samples, then 1000 random
+    graphs of 0 to 45 edges."""
+    generated = {s.graph.edges for seed in range(5)
+                 for s in generate_xor_and_xor(1000, seed=seed, random_edge_max=2)}
+    pairs = [(i, j) for i in range(NODE_COUNT) for j in range(i + 1, NODE_COUNT)]
+    rng = np.random.default_rng(11)
+    drawn = [tuple(sorted(pairs[k] for k in rng.choice(len(pairs), n, replace=False)))
+             for n in rng.integers(0, len(pairs) + 1, size=1000)]
+    assert len(generated) > 1000 and max(map(len, drawn)) == len(pairs)
+    return sorted(generated) + drawn
+
+
+def test_betweenness_has_the_bytes_of_the_numpy_scalar_form(edge_sets):
+    for edges in edge_sets:
+        want = betweenness_reference(NODE_COUNT, edges)
+        assert betweenness(NODE_COUNT, edges).tobytes() == want.tobytes(), edges
+
+
+def test_adjacency_has_the_bytes_of_the_stacked_form(edge_sets):
+    stack = adjacency_stack_reference(NODE_COUNT, edge_sets)
+    for want, edges in zip(stack, edge_sets):
+        assert normalized_adjacency(NODE_COUNT, edges).tobytes() == want.tobytes(), edges
+    some = generate_xor_and_xor(300, seed=2)
+    want = adjacency_stack_reference(NODE_COUNT, [s.graph.edges for s in some])
+    assert as_arrays(some).graph_adj.tobytes() == want.tobytes()
+
+
+def test_each_call_builds_each_distinct_graph_once(tmp_path, monkeypatch):
+    calls = []
+    honest = data.betweenness
+    monkeypatch.setattr(data, "betweenness",
+                        lambda n, edges: calls.append(edges) or honest(n, edges))
+    samples = generate_xor_and_xor(1000, seed=0, random_edge_max=2)
+    distinct = sorted({s.graph.edges for s in samples})
+    assert sorted(calls) == distinct
+    path = tmp_path / "d.json"
+    save_dataset(samples, str(path), seed=0, random_edge_max=2, bijection="default")
+    for call in (lambda: generate_xor_and_xor(1000, seed=0, random_edge_max=2),
+                 lambda: load_dataset(str(path)), lambda: load_dataset(str(path))):
+        calls.clear()
+        call()
+        assert sorted(calls) == distinct
+
+
+def test_edges_are_checked_before_any_feature(monkeypatch):
+    def no_features(n, edges):
+        raise AssertionError(f"betweenness of {edges}")
+
+    monkeypatch.setattr(data, "betweenness", no_features)
+    for pair in ((3, 10), (-1, 3), (4, 4), (5, 2)):
+        with pytest.raises(ValueError, match=r"out of range|self-loops"):
+            data._graph(GraphFamily.C4, [pair])
 
 
 # -- split -----------------------------------------------------------------------
@@ -484,6 +547,25 @@ def _first_endpoint(value):
     return edit
 
 
+def _record_2_edge(old, new):
+    """An edit that puts edge `new` in place of `old` in record 2, a c4 graph
+    whose two extra edges are [0, 4] and [3, 6]."""
+    def edit(d):
+        edges = d["samples"][2]["edges"]
+        edges[edges.index(old)] = new
+    return edit
+
+
+def _feature(record, pick, value):
+    """An edit that sets the first feature of `record` for which pick(feature)
+    holds to value(feature)."""
+    def edit(d):
+        feats = d["samples"][record]["features"]
+        k = next(k for k, f in enumerate(feats) if pick(f))
+        feats[k] = value(feats[k])
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d.pop("seed"),
     lambda d: d.pop("samples"),
@@ -522,6 +604,13 @@ def _first_endpoint(value):
     lambda d: d["samples"][2].update(edges=[[0, 1]]),
     lambda d: d["samples"][2]["edges"].append([8, 9]),
     lambda d: d["samples"][1]["edges"].reverse(),
+    lambda d: d["samples"][2].update(features=[0 if f == 0 else f
+                                               for f in d["samples"][2]["features"]]),
+    _feature(1, lambda f: f > 0, lambda f: float(np.nextafter(f, 1.0))),
+    lambda d: d["samples"][1].update(features=d["samples"][2]["features"]),
+    _feature(2, lambda f: f == 0, lambda f: -0.0),
+    _record_2_edge([3, 6], [3, 10]),
+    _record_2_edge([0, 4], [-1, 3]),
 ], ids=["missing header field", "missing samples", "missing record field",
         "count differs from header", "repeated id", "nine nodes",
         "local_tab disagrees", "local_graph disagrees", "global disagrees",
@@ -531,7 +620,9 @@ def _first_endpoint(value):
         "unknown top-level field", "string id", "fractional id", "infinite id", "NaN id",
         "float bit", "infinite bit", "bool endpoint", "float endpoint", "string seed",
         "infinite seed", "version 2", "record a list", "without its family's edges",
-        "three extra edges", "edges out of order"])
+        "three extra edges", "edges out of order", "integer-valued features",
+        "feature one ulp off", "another record's features", "negative zero feature",
+        "endpoint 10", "endpoint -1"])
 def test_load_rejects_damaged_dataset(tmp_path, thousand, edit):
     doc = _saved_doc(tmp_path, thousand[:5])
     edit(doc)
@@ -557,9 +648,12 @@ def test_load_rejects_damaged_dataset(tmp_path, thousand, edit):
      'dataset header: random_edge_max "abc" is not an integer'),
     (lambda d: d["samples"][2]["edges"].append([8, 9]),
      "dataset record 2: 3 edges beyond the c4 family's, more than random_edge_max 2"),
+    (_record_2_edge([3, 6], [3, 10]), "dataset record 2: edge (3,10) out of range or unordered"),
+    (_record_2_edge([0, 4], [-1, 3]), "dataset record 2: edge (-1,3) out of range or unordered"),
 ], ids=["record a list", "samples not a list", "missing samples", "boolean id",
         "unknown top-level field", "bijection a list", "null id", "NaN id", "null endpoint",
-        "null seed", "string random_edge_max", "three extra edges"])
+        "null seed", "string random_edge_max", "three extra edges", "endpoint 10",
+        "endpoint -1"])
 def test_damaged_dataset_message(tmp_path, thousand, edit, message):
     doc = _saved_doc(tmp_path, thousand[:5])
     edit(doc)
@@ -570,17 +664,12 @@ def test_damaged_dataset_message(tmp_path, thousand, edit, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("edit", [
-    _first_endpoint(int),
-    lambda d: d["samples"][2].update(features=[0 if f == 0 else f
-                                               for f in d["samples"][2]["features"]]),
-], ids=["integer endpoints", "integer-valued features"])
+@pytest.mark.parametrize("edit", [_first_endpoint(int)], ids=["integer endpoints"])
 def test_load_takes_stored_values_in_the_writers_types(tmp_path, thousand, edit):
     """What the type rows above differ from: record 1's endpoints written as
-    the integers they are load, and so do record 2's 0.0 betweenness
-    features written as 0 (features are taken as stored); saving the loaded
-    samples again gives the same bytes. Each edited value equals the one
-    generated, so the records still describe their graphs."""
+    the integers they are load, and saving the loaded samples again gives the
+    same bytes. (Features are rebuilt from the edges, so a 0.0 feature written
+    as 0 is a rejection row above.)"""
     doc = _saved_doc(tmp_path, thousand[:5])
     edit(doc)
     path = tmp_path / "edited.json"

@@ -3,6 +3,7 @@
     python tools/abtime.py A_TREE B_TREE --unit serve_op --pairs 60
     python tools/abtime.py A_TREE B_TREE --unit serve_query --pairs 60
     python tools/abtime.py A_TREE B_TREE --unit train --seed 5 --pairs 20
+    python tools/abtime.py A_TREE B_TREE --unit setup --seed 5 --pairs 60
 
 Each tree is a checkout with the package under `src/` (`git archive` makes
 one of another commit). One long-lived worker process per tree imports that
@@ -27,6 +28,10 @@ Units (public names only, so any two commits of the package can be compared):
   epochs, the benchmark's `fit_epochs`, on the default dataset of that seed.
 - `train_epoch`: the same with `plan.epochs=1`. Packing and the per-epoch
   evaluation weigh more in it than in `train`.
+- `setup`: the benchmark's `fit` and `grid` set-up, `generate_xor_and_xor`
+  and `split` of the default dataset of `--seed` (1000 samples).
+- `load`: `load_dataset` of that dataset, saved once at set-up to a
+  temporary directory that is removed when the worker exits.
 
 It prints each side's median unit time and, over the pairs, the median and
 interquartile range of the B/A time ratio, the number of pairs in which B
@@ -40,6 +45,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -108,8 +114,34 @@ def _train(epochs: int):
     return unit
 
 
+def setup(cs, seed: int):
+    cfg = cs.ExperimentConfig(seed=seed)
+
+    def run() -> float:
+        t0 = time.perf_counter()
+        _dataset(cs, cfg)
+        return time.perf_counter() - t0
+    return run
+
+
+def load(cs, seed: int):
+    cfg = cs.ExperimentConfig(seed=seed)
+    folder = tempfile.TemporaryDirectory()
+    path = os.path.join(folder.name, "dataset.json")
+    samples = cs.generate_xor_and_xor(cfg.n_samples, cfg.seed, cfg.random_edge_max,
+                                      cfg.bijection)
+    cs.save_dataset(samples, path, seed=cfg.seed, random_edge_max=cfg.random_edge_max,
+                    bijection=cfg.bijection)
+
+    def run() -> float:
+        t0 = time.perf_counter()
+        cs.load_dataset(os.path.join(folder.name, "dataset.json"))   # keeps folder alive
+        return time.perf_counter() - t0
+    return run
+
+
 UNITS = {"serve_op": serve_op, "serve_query": serve_query, "train": _train(30),
-         "train_epoch": _train(1)}
+         "train_epoch": _train(1), "setup": setup, "load": load}
 
 
 def worker(tree: str, unit: str, seed: int) -> None:
