@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import struct
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -24,6 +25,7 @@ from .rng import substream
 DATASET_VERSION = 1
 NODE_COUNT = 10
 N_BITS = 6
+_FEATURE_BYTES = struct.Struct(f"{NODE_COUNT}d").pack     # a graph's features as float64
 
 
 class GraphFamily(Enum):
@@ -289,32 +291,32 @@ def graph_rendering(sample: PairedSample, bijection: str = "default"):
 
 
 # -- batching ----------------------------------------------------------------
-#
-# A Batch is the one packed form of samples. as_arrays packs samples in list
-# order; every other batch is rows taken from a packed batch (Batch.take) or a
-# packed batch with its own and aux fields swapped (translation_batch).
 
 @dataclass(frozen=True)
 class Batch:
+    """The one packed form of samples: as_arrays packs them in list order, and
+    take and translation_batch derive every other batch. Each byte-distinct
+    graph is held once, in a read-only table that the own and aux rows index
+    and all those batches share."""
     ids: tuple[int, ...]
-    graph_x: np.ndarray        # (b, NODE_COUNT, 1) betweenness features
-    graph_adj: np.ndarray      # (b, NODE_COUNT, NODE_COUNT) normalized adjacency
+    graph: np.ndarray          # (b,) int64 row of each sample's graph in the table
     tab_x: np.ndarray          # (b, N_BITS)
     y: np.ndarray              # (b,) global labels
     y_onehot: np.ndarray       # (b, 2)
     local: dict                # modality -> (b,) local labels
-    aux_graph_x: np.ndarray | None = None    # graph rendering of the tabular content
-    aux_graph_adj: np.ndarray | None = None
+    table_x: np.ndarray        # (g, NODE_COUNT, 1) betweenness features
+    table_adj: np.ndarray      # (g, NODE_COUNT, NODE_COUNT) normalized adjacency
+    aux_graph: np.ndarray | None = None      # graph rendering of the tabular content
     aux_tab_x: np.ndarray | None = None      # tabular rendering of the graph content
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def take(self, idx: np.ndarray) -> Batch:
-        """Rows `idx` of this batch, in that order, as a batch of their own
-        (integer-array indexing copies, so it shares no array with this one)."""
+        """Rows `idx` of this batch, in that order, as a batch of their own:
+        the row fields are copied, the graph table is shared."""
         arrays = {name: value[idx] for name, value in vars(self).items()
-                  if isinstance(value, np.ndarray)}
+                  if isinstance(value, np.ndarray) and name not in ("table_x", "table_adj")}
         return replace(self, ids=tuple(self.ids[i] for i in idx),
                        local={m: v[idx] for m, v in self.local.items()}, **arrays)
 
@@ -341,32 +343,42 @@ def one_hot(labels: np.ndarray) -> np.ndarray:
     return onehot
 
 
-def _pack(graphs) -> tuple[np.ndarray, np.ndarray]:
-    """(graph_x, graph_adj) of a list of (edges, features) graphs."""
-    x = np.array([feats for _, feats in graphs], dtype=float)
-    adj = np.array([normalized_adjacency(NODE_COUNT, edges) for edges, _ in graphs])
-    return x.reshape(-1, NODE_COUNT, 1), adj.reshape(-1, NODE_COUNT, NODE_COUNT)
+def _pack(*lists):
+    """(table_x, table_adj, rows): a read-only entry per byte-distinct (features,
+    adjacency) of the lists' (edges, features) graphs, in order of first use, and each
+    list's int64 rows. Each pair of objects (held by the lists) is keyed by bytes once."""
+    seen, entries, rows = {}, {}, []
+    for graphs in lists:
+        index = []
+        for edges, feats in graphs:
+            ids = (id(edges), id(feats))
+            if ids not in seen:
+                key = (_FEATURE_BYTES(*feats), normalized_adjacency(NODE_COUNT, edges).tobytes())
+                seen[ids] = entries.setdefault(key, len(entries))
+            index.append(seen[ids])
+        rows.append(np.array(index, dtype=np.int64))
+    x = np.frombuffer(b"".join(f for f, _ in entries)).reshape(-1, NODE_COUNT, 1)
+    adj = np.frombuffer(b"".join(a for _, a in entries)).reshape(-1, NODE_COUNT, NODE_COUNT)
+    return x, adj, rows
 
 
 def as_arrays(samples, bijection: str = "default", with_aux: bool = True) -> Batch:
-    """Pack a list of samples into one model-ready Batch, in list order.
-    with_aux=False leaves out the translation renderings (the aux fields),
-    which eval-mode encoding never reads."""
-    n = len(samples)
-    graph_x, graph_adj = _pack([(s.graph.edges, s.graph.node_features) for s in samples])
-    tab_x = np.array([s.tabular.bits for s in samples], dtype=float).reshape(n, N_BITS)
+    """Pack a list of samples into one model-ready Batch, in list order. with_aux=False
+    leaves out the translation renderings (the aux fields), which eval mode never reads."""
+    graphs = [[(s.graph.edges, s.graph.node_features) for s in samples]]
+    bits = [[s.tabular.bits for s in samples]]
+    if with_aux:
+        graphs.append([graph_rendering(s, bijection) for s in samples])
+        bits.append([tabular_rendering(s, bijection) for s in samples])
+    table_x, table_adj, rows = _pack(*graphs)
+    tab_x = [np.array(b, dtype=float).reshape(len(samples), N_BITS) for b in bits]
     y = np.array([s.global_label for s in samples], dtype=np.int64)
-    batch = Batch(
-        ids=tuple(int(s.id) for s in samples), graph_x=graph_x, graph_adj=graph_adj,
-        tab_x=tab_x, y=y, y_onehot=one_hot(y),
+    return Batch(
+        ids=tuple(int(s.id) for s in samples), tab_x=tab_x[0], y=y, y_onehot=one_hot(y),
         local={"graph": np.array([s.local_label_graph for s in samples], dtype=np.int64),
-               "tabular": np.array([s.local_label_tab for s in samples], dtype=np.int64)})
-    if not with_aux:
-        return batch
-    aux_graph_x, aux_graph_adj = _pack([graph_rendering(s, bijection) for s in samples])
-    aux_tab_x = np.array([tabular_rendering(s, bijection) for s in samples], dtype=float)
-    return replace(batch, aux_graph_x=aux_graph_x, aux_graph_adj=aux_graph_adj,
-                   aux_tab_x=aux_tab_x.reshape(tab_x.shape))
+               "tabular": np.array([s.local_label_tab for s in samples], dtype=np.int64)},
+        graph=rows[0], table_x=table_x, table_adj=table_adj,
+        aux_graph=rows[1] if with_aux else None, aux_tab_x=tab_x[1] if with_aux else None)
 
 
 def batches(packed: Batch, batch_size: int,
@@ -403,14 +415,12 @@ def translation_batch(samples, bijection: str = "default",
     the graph content as bits, and the aux slots the samples' own inputs.
     Encoding it yields the auxiliary representations used when a modality is
     missing. Given `packed` (as_arrays of the samples, with the aux rows), it
-    shares that batch's arrays; translating a translation gives the fields
-    back. Raises ValueError when `packed` has no aux rows."""
+    shares that batch's arrays, its graph table included; translating a
+    translation gives the fields back. Raises ValueError without aux rows."""
     b = packed if packed is not None else as_arrays(samples, bijection)
-    if b.aux_graph_x is None:
+    if b.aux_graph is None:
         raise ValueError("translation_batch needs a batch packed with its aux rows")
-    return replace(b, graph_x=b.aux_graph_x, aux_graph_x=b.graph_x,
-                   graph_adj=b.aux_graph_adj, aux_graph_adj=b.graph_adj,
-                   tab_x=b.aux_tab_x, aux_tab_x=b.tab_x)
+    return replace(b, graph=b.aux_graph, aux_graph=b.graph, tab_x=b.aux_tab_x, aux_tab_x=b.tab_x)
 
 
 # -- serialization -----------------------------------------------------------

@@ -47,9 +47,7 @@ class DenseEncoder(MLP):
         super().__init__(N_BITS, cfg.dense_hidden, cfg.local_width, rng, name)
 
     def inputs(self, batch: Batch, with_aux: bool = False):
-        if with_aux:
-            return (np.concatenate([batch.tab_x, batch.aux_tab_x], axis=0),)
-        return (batch.tab_x,)
+        return (np.concatenate([batch.tab_x, batch.aux_tab_x]) if with_aux else batch.tab_x,)
 
     def forward(self, x, mode: str = "train", rng=None, gumbel_mode=None):
         if x.ndim != 2 or x.shape[1] != N_BITS:
@@ -62,7 +60,7 @@ class DenseEncoder(MLP):
 
 
 class GraphEncoder(Module):
-    """Backbone for node-feature/adjacency inputs.
+    """Backbone for the graphs that a batch's rows index in its graph table.
 
     With discretize=True each node is assigned a hard one-hot node concept
     (straight-through sampled in training, argmax at eval) and the graph is
@@ -82,36 +80,38 @@ class GraphEncoder(Module):
         self._n_nodes = self._inverse = None
 
     def inputs(self, batch: Batch, with_aux: bool = False):
-        if with_aux:
-            return (np.concatenate([batch.graph_x, batch.aux_graph_x], axis=0),
-                    np.concatenate([batch.graph_adj, batch.aux_graph_adj], axis=0))
-        return (batch.graph_x, batch.graph_adj)
+        """(table_x, table_adj, rows), the aux rows appended with_aux."""
+        rows = np.concatenate([batch.graph, batch.aux_graph]) if with_aux else batch.graph
+        return batch.table_x, batch.table_adj, rows
 
-    def forward(self, h, adj=None, mode: str = "train", rng=None, gumbel_mode=None):
-        """In every mode, a batch of 3 rows or more runs the convolutions once
-        per byte-distinct graph (nn.distinct_rows), then gathers its rows back
-        before the node concepts, so the Gumbel noise keeps its shape and
-        order. The 128 rows of a default training batch (64 samples and
-        their translation rows, which are 4 canonical family graphs) hold
-        22-52 distinct graphs."""
+    def forward(self, h, adj, rows, mode: str = "train", rng=None, gumbel_mode=None):
+        """Encode the graphs h[rows], adj[rows] of a graph table. A batch of 3 rows
+        or more runs the convolutions once per distinct row index (nn.distinct_rows),
+        which the packer gives each byte-distinct graph, and gathers its rows back
+        after the node sum, or before the node concepts where the Gumbel takes them
+        per row (train and soft mode), so its noise keeps its shape and order."""
+        rows = np.asarray(rows)
         if h.ndim != 3 or h.shape[1] < 1 or np.shape(adj) != h.shape[:2] + h.shape[1:2]:
-            raise ValueError("graph input must be (b, nodes>=1, 1), adj (b, nodes, nodes)")
-        self._n_nodes = h.shape[1]
-        self._inverse = None
-        if len(h) >= 3:
-            rows, self._inverse = distinct_rows(
-                np.concatenate([h, adj], axis=2).reshape(len(h), -1))
-            h, adj = h[rows], adj[rows]
+            raise ValueError("graph table must be (g, nodes>=1, 1), adj (g, nodes, nodes)")
+        if rows.ndim != 1 or rows.dtype.kind not in "iu" or len(rows) and (
+                rows.min() < 0 or rows.max() >= len(h)):
+            raise ValueError(f"graph rows must be a 1-D integer index into {len(h)} graphs")
+        self._n_nodes, self._inverse = h.shape[1], None
+        if len(rows) >= 3:
+            first, self._inverse = distinct_rows(rows[:, None])
+            rows = rows[first]
+        h, adj = h[rows], adj[rows]
         for i, conv in enumerate(self.convs):
             h = conv.forward(h, adj)
             if i < len(self.acts):
                 h = self.acts[i].forward(h)
-        if self._inverse is not None:
-            h = h[self._inverse]
+        back = self._inverse
+        if back is not None and self.discretize and (gumbel_mode or mode) != "eval":
+            h, back = h[back], None
         if self.discretize:
-            node_concepts = self.gumbel.forward(h, gumbel_mode or mode, rng)
-            return node_concepts.sum(axis=1)
-        return h.sum(axis=1)
+            h = self.gumbel.forward(h, gumbel_mode or mode, rng)
+        z = h.sum(axis=1)
+        return z if back is None else z[back]
 
     def backward(self, g):
         """After the Gumbel backward, the rows of each distinct graph are

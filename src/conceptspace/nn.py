@@ -246,8 +246,8 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def one_hot_argmax(x: np.ndarray) -> np.ndarray:
     idx = x.argmax(axis=-1)
-    out = np.zeros_like(x)
-    np.put_along_axis(out, idx[..., None], 1.0, axis=-1)
+    out = np.zeros(x.shape, x.dtype)
+    out.reshape(-1, x.shape[-1])[np.arange(idx.size), idx.ravel()] = 1.0
     return out
 
 

@@ -11,6 +11,8 @@ kernels in conceptspace.nn, conceptspace.tree and conceptspace.data replaced;
 the library must give their bytes. The graph encoder's full-row backward is kept the same
 way: the backward over each batch's distinct graphs that replaced it gives
 its bytes when no graph repeats, and its values to rounding when graphs do.
+So is the per-row packing of graphs that the batch's graph table replaced;
+gather_rows reads a batch's rows out of its table to compare with it.
 """
 
 from collections import deque
@@ -143,6 +145,13 @@ def leaky_relu_backward_reference(x, g, slope):
     return np.where(x > 0, g, slope * g)
 
 
+def one_hot_argmax_reference(x):
+    idx = x.argmax(axis=-1)
+    out = np.zeros_like(x)
+    np.put_along_axis(out, idx[..., None], 1.0, axis=-1)
+    return out
+
+
 def graph_encoder_grads_reference(enc, h, adj, g):
     """The parameter gradients of GraphEncoder enc for upstream gradient g,
     the plain way: every row of (h, adj) runs forward and backward through
@@ -224,6 +233,21 @@ def adjacency_stack_reference(node_count: int, edge_lists) -> np.ndarray:
     a *= d_inv_sqrt[:, :, None]
     a *= d_inv_sqrt[:, None, :]
     return a
+
+
+def pack_rows_reference(graphs, node_count: int = 10):
+    """(x, adj) of a list of (edges, features) graphs, one row per graph:
+    (len, node_count, 1) features and (len, node_count, node_count)
+    adjacency, the per-row packing that the batch's graph table replaced."""
+    x = np.array([feats for _, feats in graphs], dtype=float).reshape(-1, node_count, 1)
+    return x, adjacency_stack_reference(node_count, [edges for edges, _ in graphs])
+
+
+def gather_rows(batch, aux: bool = False):
+    """(x, adj) of each row of a batch, gathered from its graph table: the
+    own rows, or the aux rows when `aux` is set."""
+    rows = batch.aux_graph if aux else batch.graph
+    return batch.table_x[rows], batch.table_adj[rows]
 
 
 def sigmoid_reference(x):

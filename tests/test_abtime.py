@@ -46,7 +46,7 @@ def test_a_serve_query_run_of_one_tree_against_itself_prints_its_summary():
     _check_a_run_of_one_tree_against_itself("serve_query")
 
 
-@pytest.mark.parametrize("unit", ["setup", "load"])
+@pytest.mark.parametrize("unit", ["setup", "load", "pack"])
 def test_a_data_unit_run_of_one_tree_against_itself_prints_its_summary(unit):
     _check_a_run_of_one_tree_against_itself(unit)
 
@@ -78,6 +78,28 @@ def test_load_unit_loads_the_default_dataset_saved_at_setup(monkeypatch):
     cfg = cs.ExperimentConfig(seed=3)
     assert header == cs.data.dataset_header(1000, 3, cfg.random_edge_max, cfg.bijection)
     assert samples == cs.generate_xor_and_xor(1000, 3, cfg.random_edge_max)
+
+
+def test_pack_unit_packs_the_default_split_as_training_does(monkeypatch):
+    """The pack unit is train()'s packing: the training samples with their
+    aux rows under the config's bijection, then the test samples without."""
+    import conceptspace as cs
+
+    calls = []
+
+    def recording(samples, *args, **kw):
+        calls.append((samples, args, kw))
+
+    monkeypatch.setattr(cs.data, "as_arrays", recording)
+    monkeypatch.setattr(cs.training, "as_arrays", recording)
+    run = abtime.UNITS["pack"](cs, 3)
+    assert run() > 0 and len(calls) == 2
+    cfg = cs.ExperimentConfig(seed=3)
+    ds = cs.split(cs.generate_xor_and_xor(cfg.n_samples, 3, cfg.random_edge_max),
+                  cfg.split_ratio, 3)
+    assert calls == [(ds.train, (cfg.bijection,), {}), (ds.test, (), {"with_aux": False})]
+    cs.training._start(ds, cfg)
+    assert calls[2:] == calls[:2]
 
 
 @pytest.mark.parametrize("unit, epochs", [("train", 30), ("train_epoch", 1)])

@@ -37,7 +37,9 @@ from oracles import (
     adjacency_stack_reference,
     betweenness_oracle,
     betweenness_reference,
+    gather_rows,
     label_oracle,
+    pack_rows_reference,
 )
 
 
@@ -223,7 +225,7 @@ def test_adjacency_has_the_bytes_of_the_stacked_form(edge_sets):
         assert normalized_adjacency(NODE_COUNT, edges).tobytes() == want.tobytes(), edges
     some = generate_xor_and_xor(300, seed=2)
     want = adjacency_stack_reference(NODE_COUNT, [s.graph.edges for s in some])
-    assert as_arrays(some).graph_adj.tobytes() == want.tobytes()
+    assert gather_rows(as_arrays(some))[1].tobytes() == want.tobytes()
 
 
 def test_each_call_builds_each_distinct_graph_once(tmp_path, monkeypatch):
@@ -339,23 +341,34 @@ def test_training_pass_draws_one_permutation(thousand):
 
 def test_batch_tensors(thousand):
     b = whole_batch(thousand[:8])
-    assert b.graph_x.shape == (8, 10, 1)
-    assert b.graph_adj.shape == (8, 10, 10)
+    for aux in (False, True):
+        x, adj = gather_rows(b, aux)
+        assert x.shape == (8, 10, 1)
+        assert adj.shape == (8, 10, 10)
+    assert b.graph.shape == b.aux_graph.shape == (8,)
+    assert b.graph.dtype == b.aux_graph.dtype == np.int64
+    assert b.table_x.shape[1:] == (10, 1) and b.table_adj.shape[1:] == (10, 10)
     assert b.tab_x.shape == (8, 6)
     assert b.y_onehot.shape == (8, 2)
     assert np.array_equal(b.y_onehot.argmax(1), b.y)
     assert b.aux_tab_x.shape == (8, 6)
-    assert b.aux_graph_x.shape == (8, 10, 1)
 
 
 def assert_same_batch(got, want):
     """Every field equal, byte for byte: the ids as Python ints, each array
-    in dtype, shape and bytes, and None where the other has None."""
+    in dtype, shape and bytes, and None where the other has None. The graphs
+    are compared as the rows gathered from each batch's table, since two
+    packings may number their tables' graphs differently."""
     assert got.ids == want.ids and all(type(i) is int for i in got.ids)
     assert list(got.local) == list(want.local)
     pairs = [(f"local.{m}", got.local[m], want.local[m]) for m in want.local]
     pairs += [(f.name, getattr(got, f.name), getattr(want, f.name))
-              for f in fields(want) if f.name not in ("ids", "local")]
+              for f in fields(want)
+              if f.name not in ("ids", "local", "graph", "aux_graph", "table_x", "table_adj")]
+    assert (got.aux_graph is None) == (want.aux_graph is None)
+    for aux in ([False] if want.aux_graph is None else [False, True]):
+        pairs += [(f"graph rows {name} aux={aux}", a, b) for name, a, b in
+                  zip(("x", "adj"), gather_rows(got, aux), gather_rows(want, aux))]
     for name, a, b in pairs:
         if a is None or b is None:
             assert a is b, name
@@ -369,9 +382,11 @@ def test_each_batch_equals_packing_its_samples(thousand, bijection, seed):
     some = thousand[:65]          # 4 batches of 16, then a singleton
     by_id = {s.id: s for s in some}
     rng = None if seed is None else np.random.default_rng(seed)
-    parts = batches(as_arrays(some, bijection), 16, rng)
+    packed = as_arrays(some, bijection)
+    parts = batches(packed, 16, rng)
     assert len(parts) == (5 if rng is None else 4)     # a training pass drops it
     for part in parts:
+        assert part.table_x is packed.table_x and part.table_adj is packed.table_adj
         assert_same_batch(part, as_arrays([by_id[i] for i in part.ids], bijection))
 
 
@@ -393,16 +408,16 @@ def test_packed_adjacency_has_the_per_sample_bytes(thousand):
         assert adj.tobytes() == adjacency_oracle(NODE_COUNT, s.graph.edges).tobytes()
         return adj.tobytes()
 
-    packed = as_arrays(thousand)
-    assert packed.graph_adj.shape == (1000, NODE_COUNT, NODE_COUNT)
+    _, adj = gather_rows(as_arrays(thousand))
+    assert adj.shape == (1000, NODE_COUNT, NODE_COUNT)
     for k, s in enumerate(thousand):
-        assert packed.graph_adj[k].tobytes() == per_sample(s)
+        assert adj[k].tobytes() == per_sample(s)
     edgeless = [s for s in thousand
                 if s.graph.family is GraphFamily.ISOLATED and not s.graph.edges]
     assert edgeless
     for s in (thousand[0], edgeless[0]):
-        assert as_arrays([s], with_aux=False).graph_adj[0].tobytes() == per_sample(s)
-    assert np.array_equal(as_arrays(edgeless[:1]).graph_adj[0], np.eye(NODE_COUNT))
+        assert gather_rows(as_arrays([s], with_aux=False))[1][0].tobytes() == per_sample(s)
+    assert np.array_equal(gather_rows(as_arrays(edgeless[:1]))[1][0], np.eye(NODE_COUNT))
 
 
 def test_repeated_edge_sets_pack_to_the_per_sample_bytes(tmp_path, thousand):
@@ -424,10 +439,61 @@ def test_repeated_edge_sets_pack_to_the_per_sample_bytes(tmp_path, thousand):
     for samples in (mixed, mixed[::-1]):
         for with_aux in (True, False):
             packed = as_arrays(samples, with_aux=with_aux)
-            assert packed.graph_adj.shape == (len(samples), NODE_COUNT, NODE_COUNT)
+            _, adj = gather_rows(packed)
+            assert adj.shape == (len(samples), NODE_COUNT, NODE_COUNT)
             for k, s in enumerate(samples):
                 want = normalized_adjacency(NODE_COUNT, s.graph.edges)
-                assert packed.graph_adj[k].tobytes() == want.tobytes()
+                assert adj[k].tobytes() == want.tobytes()
+            assert_rows_are_the_per_row_packing(packed, samples)
+    # 6 edge sets: their reordered and loaded copies share their entries
+    assert len(as_arrays(mixed, with_aux=False).table_x) == 6
+
+
+def assert_rows_are_the_per_row_packing(batch, samples, bijection="default",
+                                        translated=False):
+    """The rows of `batch` (as_arrays of samples, or its translation when
+    `translated`), gathered from its table, have the bytes of the per-row
+    packing of the samples' graphs and, when it has aux rows, of their
+    renderings; and the table holds each byte-distinct (x, adj) pair of its
+    rows exactly once."""
+    lists = [[(s.graph.edges, s.graph.node_features) for s in samples]]
+    if batch.aux_graph is not None:
+        lists.append([graph_rendering(s, bijection) for s in samples])
+    for aux, graphs in enumerate(lists[::-1] if translated else lists):
+        for got, want in zip(gather_rows(batch, aux), pack_rows_reference(graphs)):
+            assert (got.dtype, got.shape, got.tobytes()) == \
+                (want.dtype, want.shape, want.tobytes())
+    g = len(batch.table_x)
+    rows = batch.graph if batch.aux_graph is None else np.concatenate(
+        [batch.graph, batch.aux_graph])
+    assert rows.dtype == np.int64 and sorted(set(rows.tolist())) == list(range(g))
+    assert len({x.tobytes() + a.tobytes()
+                for x, a in zip(batch.table_x, batch.table_adj)}) == g
+
+
+@pytest.mark.parametrize("bijection", BIJECTIONS)
+@pytest.mark.parametrize("seed", range(5))
+def test_table_rows_are_the_per_row_packing(seed, bijection):
+    samples = generate_xor_and_xor(1000, seed=seed, random_edge_max=2)
+    packed = as_arrays(samples, bijection)
+    assert_rows_are_the_per_row_packing(packed, samples, bijection)
+    assert_rows_are_the_per_row_packing(as_arrays(samples, with_aux=False), samples)
+    for translated in (translation_batch(None, packed=packed),
+                       translation_batch(samples, bijection)):
+        assert_rows_are_the_per_row_packing(translated, samples, bijection, translated=True)
+
+
+def test_a_signed_zero_feature_gets_its_own_table_entry(thousand):
+    s = next(s for s in thousand if 0.0 in s.graph.node_features)
+    k = s.graph.node_features.index(0.0)
+    negative = replace(s, graph=replace(s.graph, node_features=(
+        s.graph.node_features[:k] + (-0.0,) + s.graph.node_features[k + 1:])))
+    copy = replace(s, graph=replace(s.graph, node_features=tuple(list(s.graph.node_features))))
+    moved = replace(s, graph=replace(s.graph, node_features=(0.5,) * NODE_COUNT))
+    samples = [s, negative, copy, negative, moved]
+    packed = as_arrays(samples)
+    assert packed.graph.tolist() == [0, 1, 0, 1, 2]
+    assert_rows_are_the_per_row_packing(packed, samples)
 
 
 def test_aux_padding_is_a_fresh_draw(thousand):
@@ -467,10 +533,10 @@ def test_cached_renderings_equal_fresh_ones(thousand, bijection):
         want_x = betweenness(NODE_COUNT, edges)
         want_adj = normalized_adjacency(NODE_COUNT, edges)
         for _ in range(2):           # the second pass reads the cache
-            arr = as_arrays(some, bijection)
+            aux_x, aux_adj = gather_rows(as_arrays(some, bijection), aux=True)
             for k in range(len(some)):
-                assert np.array_equal(arr.aux_graph_x[k, :, 0], want_x)
-                assert np.array_equal(arr.aux_graph_adj[k], want_adj)
+                assert np.array_equal(aux_x[k, :, 0], want_x)
+                assert np.array_equal(aux_adj[k], want_adj)
             got_edges, feats = graph_rendering(some[0], bijection)
             assert got_edges == edges and np.array_equal(feats, want_x)
             with pytest.raises(ValueError):
@@ -487,7 +553,8 @@ def test_translation_batch_swaps_renderings(thousand):
     own = whole_batch(some)
     swapped = translation_batch(some)
     assert np.array_equal(swapped.tab_x, own.aux_tab_x)
-    assert np.array_equal(swapped.graph_x, own.aux_graph_x)
+    assert np.array_equal(gather_rows(swapped)[0], gather_rows(own, aux=True)[0])
+    assert np.array_equal(gather_rows(swapped, aux=True)[0], gather_rows(own)[0])
     assert np.array_equal(swapped.aux_tab_x, own.tab_x)
 
 
@@ -495,7 +562,12 @@ def test_translation_batch_swaps_renderings(thousand):
 def test_translating_twice_gives_the_fields_back(thousand, bijection):
     own = as_arrays(thousand[:9], bijection)
     once = translation_batch(None, packed=own)
-    assert once.graph_x is own.aux_graph_x and once.aux_tab_x is own.tab_x   # no copy
+    assert once.graph is own.aux_graph and once.aux_tab_x is own.tab_x   # no copy
+    # the graph table is shared, not copied, and read-only for every batch holding it
+    assert once.table_x is own.table_x and once.table_adj is own.table_adj
+    for table in (own.table_x, own.table_adj):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
     assert_same_batch(translation_batch(None, packed=once), own)
     assert_same_batch(translation_batch(None, packed=translation_batch(thousand[:9], bijection)),
                       own)

@@ -4,7 +4,14 @@ import pytest
 from conceptspace import model as model_module
 from conceptspace.baselines import build_baseline
 from conceptspace.config import ExperimentConfig, MODALITIES
-from conceptspace.data import generate_xor_and_xor, translation_batch, whole_batch
+from conceptspace.data import (
+    as_arrays,
+    batches,
+    generate_xor_and_xor,
+    split,
+    translation_batch,
+    whole_batch,
+)
 from conceptspace.errors import CheckpointMismatchError
 from conceptspace.model import (
     ConceptStage,
@@ -18,7 +25,7 @@ from conceptspace.model import (
 from conceptspace.nn import BatchRescale, MLP, distinct_rows, sigmoid
 from conceptspace.rng import substream
 
-from oracles import graph_encoder_grads_reference
+from oracles import gather_rows, graph_encoder_grads_reference
 
 cfg = ExperimentConfig()
 
@@ -232,8 +239,8 @@ def test_identical_concept_multisets_collapse():
 
 def test_empty_graph_rejected(fresh_model):
     with pytest.raises(ValueError):
-        fresh_model.encoders["graph"].forward(np.zeros((2, 0, 1)),
-                                              np.zeros((2, 0, 0)), mode="train")
+        fresh_model.encoders["graph"].forward(np.zeros((2, 0, 1)), np.zeros((2, 0, 0)),
+                                              np.arange(2), mode="train")
 
 
 @pytest.mark.parametrize("adj_shape", [(1, 10, 10), (4, 10, 9), (4, 10), None],
@@ -242,8 +249,20 @@ def test_adjacency_shape_checked(fresh_model, adj_shape):
     adj = None if adj_shape is None else np.zeros(adj_shape)
     for mode in ("train", "eval"):
         with pytest.raises(ValueError, match="adj"):
-            fresh_model.encoders["graph"].forward(np.zeros((4, 10, 1)), adj, mode=mode,
-                                                  rng=np.random.default_rng(0))
+            fresh_model.encoders["graph"].forward(np.zeros((4, 10, 1)), adj, np.arange(4),
+                                                  mode=mode, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("rows", [[0, 1, -1], [-1], [0, 1, 4], [4], [0.0, 1.0, 2.0],
+                                  [[0, 1, 2]], [True, False, True]],
+                         ids=["-1", "-1 alone", "g", "g alone", "float", "2-D", "bool"])
+def test_graph_rows_must_index_the_table(fresh_model, rows):
+    # numpy would wrap -1 round to the table's last graph
+    table_x, table_adj = np.zeros((4, 10, 1)), np.broadcast_to(np.eye(10), (4, 10, 10))
+    for mode in ("train", "eval"):
+        with pytest.raises(ValueError, match="rows"):
+            fresh_model.encoders["graph"].forward(table_x, table_adj, np.array(rows),
+                                                  mode=mode, rng=np.random.default_rng(0))
 
 
 def test_tabular_shape_checked(fresh_model):
@@ -343,18 +362,75 @@ def test_training_dedups_and_small_batches_skip_it(distinct_graphs, dedup_calls)
     assert dedup_calls == [(3, 2)]
 
 
+def byte_grouping(batch, with_aux):
+    """distinct_rows over the (x, adj) bytes of each row, gathered from the
+    table: how the encoder grouped its rows before they were indexed."""
+    parts = [gather_rows(batch)] + ([gather_rows(batch, aux=True)] if with_aux else [])
+    x, adj = (np.concatenate(arrays) for arrays in zip(*parts))
+    return distinct_rows(np.concatenate([x, adj], axis=2).reshape(len(x), -1))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grouping_by_index_is_grouping_by_bytes(seed, monkeypatch):
+    samples = generate_xor_and_xor(1000, seed=seed, random_edge_max=2)
+    ds = split(samples, cfg.split_ratio, seed)
+    packed = as_arrays(ds.train)
+    enc = GraphEncoder(cfg, substream(0, "init"), "enc.graph")
+    calls = []
+
+    def recording(x):
+        calls.append(distinct_rows(x))
+        return calls[-1]
+
+    monkeypatch.setattr(model_module, "distinct_rows", recording)
+    cases = [(as_arrays(ds.train, with_aux=False), False), (packed, True),
+             (translation_batch(None, packed=packed), True), (as_arrays(ds.test), True),
+             *((b, True) for b in batches(packed, cfg.plan.batch_size,
+                                           np.random.default_rng(seed))[:4])]
+    for batch, with_aux in cases:
+        calls.clear()
+        enc.forward(*enc.inputs(batch, with_aux), mode="eval")
+        (first, inverse), = calls
+        want_first, want_inverse = byte_grouping(batch, with_aux)
+        assert np.array_equal(first, want_first) and np.array_equal(inverse, want_inverse)
+        assert enc._inverse is inverse
+
+
 # -- training runs the convolutions once per distinct graph ------------------------------
 
-def encoder_gradients(enc, h, adj, mode, seed=1):
+def encoder_gradients(enc, table_x, table_adj, rows, mode, seed=1):
     """(grads after enc.backward, the full-row reference's grads) for a random
     upstream gradient, after a forward in `mode`: "train" draws node
     concepts, "soft" takes the tempered softmax."""
-    z = enc.forward(h, adj, "train", np.random.default_rng(seed),
+    z = enc.forward(table_x, table_adj, rows, "train", np.random.default_rng(seed),
                     gumbel_mode=None if mode == "train" else mode)
     g = np.random.default_rng(seed + 1).normal(size=z.shape)
     enc.zero_grad()
     enc.backward(g)
-    return enc.grads(), graph_encoder_grads_reference(enc, h, adj, g)
+    return enc.grads(), graph_encoder_grads_reference(enc, table_x[rows], table_adj[rows], g)
+
+
+@pytest.mark.parametrize("mode", ["train", "soft", "eval"])
+@pytest.mark.parametrize("discretize", [True, False])
+def test_grouped_forward_has_the_per_row_bytes(distinct_graphs, mode, discretize):
+    """Grouped rows give the bytes of running every row through every layer,
+    whether the rows are gathered back before the node concepts or after the
+    node sum; the Gumbel noise is drawn in the same shape and order."""
+    _, _, batch = distinct_graphs
+    repeated = batch.take(np.random.default_rng(0).integers(0, 12, size=40))
+    enc = GraphEncoder(cfg, substream(0, "init"), "enc.graph", discretize=discretize)
+    table_x, table_adj, rows = enc.inputs(repeated, with_aux=True)
+    got = enc.forward(table_x, table_adj, rows, "train", np.random.default_rng(4),
+                      gumbel_mode=mode)
+    assert enc._inverse is not None
+    h, adj = table_x[rows], table_adj[rows]
+    for i, conv in enumerate(enc.convs):
+        h = conv.forward(h, adj)
+        if i < len(enc.acts):
+            h = enc.acts[i].forward(h)
+    if discretize:
+        h = enc.gumbel.forward(h, mode, np.random.default_rng(4))
+    assert got.tobytes() == h.sum(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("mode", ["train", "soft"])
@@ -363,8 +439,7 @@ def test_grouped_graph_backward_equals_the_full_row_one(distinct_graphs, mode, d
     _, _, batch = distinct_graphs
     repeated = batch.take(np.random.default_rng(0).integers(0, 12, size=40))
     enc = GraphEncoder(cfg, substream(0, "init"), "enc.graph", discretize=discretize)
-    h, adj = enc.inputs(repeated, with_aux=True)
-    got, want = encoder_gradients(enc, h, adj, mode)
+    got, want = encoder_gradients(enc, *enc.inputs(repeated, with_aux=True), mode)
     assert got.keys() == want.keys() and len(got) == 2 * cfg.graph_layers
     for name in got:      # to 1e-12 of each array's largest entry: sums differ in order
         assert np.abs(got[name] - want[name]).max() <= 1e-12 * np.abs(want[name]).max(), name
@@ -386,11 +461,12 @@ def test_grouped_graph_backward_against_finite_differences(distinct_graphs):
     repeated = batch.take(np.array([0, 1, 0, 2, 1, 0]))
     small = cfg.with_overrides(graph_hidden=4)
     enc = GraphEncoder(small, substream(0, "init"), "enc.graph")
-    h, adj = enc.inputs(repeated, with_aux=True)
-    w = np.random.default_rng(3).normal(size=(len(h), small.local_width))
+    table_x, table_adj, rows = enc.inputs(repeated, with_aux=True)
+    w = np.random.default_rng(3).normal(size=(len(rows), small.local_width))
 
     def loss():
-        return float((w * enc.forward(h, adj, "train", gumbel_mode="soft")).sum())
+        z = enc.forward(table_x, table_adj, rows, "train", gumbel_mode="soft")
+        return float((w * z).sum())
 
     loss()
     enc.zero_grad()

@@ -20,6 +20,7 @@ from oracles import (
     leaky_relu_backward_reference,
     leaky_relu_reference,
     linear_reference,
+    one_hot_argmax_reference,
     rescale_eval_reference,
     sigmoid_reference,
 )
@@ -475,6 +476,12 @@ def test_sigmoid_of_integers_is_float():
     assert got.dtype == np.float64
     assert same_bytes(got, sigmoid(np.array([0.0, 1.0, -1.0])))
     assert got[0] == 0.5 and 0.5 < got[1] < 1 and got[1] + got[2] == pytest.approx(1.0)
+
+
+def test_one_hot_argmax_has_the_bytes_of_the_put_along_axis_form():
+    for x in [*kernel_inputs(), np.zeros((0, 10, 7)), np.random.default_rng(2).normal(
+            size=(20, 10, 7)).transpose(1, 0, 2)]:      # empty, and not contiguous
+        assert same_bytes(one_hot_argmax(x), one_hot_argmax_reference(x))
 
 
 def test_linear_forward_has_the_bytes_of_product_plus_bias():

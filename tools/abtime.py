@@ -4,6 +4,7 @@
     python tools/abtime.py A_TREE B_TREE --unit serve_query --pairs 60
     python tools/abtime.py A_TREE B_TREE --unit train --seed 5 --pairs 20
     python tools/abtime.py A_TREE B_TREE --unit setup --seed 5 --pairs 60
+    python tools/abtime.py A_TREE B_TREE --unit pack --seed 5 --pairs 60
 
 Each tree is a checkout with the package under `src/` (`git archive` makes
 one of another commit). One long-lived worker process per tree imports that
@@ -32,6 +33,9 @@ Units (public names only, so any two commits of the package can be compared):
   and `split` of the default dataset of `--seed` (1000 samples).
 - `load`: `load_dataset` of that dataset, saved once at set-up to a
   temporary directory that is removed when the worker exits.
+- `pack`: the packing `train()` does once per run, on that dataset's split:
+  `data.as_arrays` of the training samples with their aux rows, then of the
+  test samples without them.
 
 It prints each side's median unit time and, over the pairs, the median and
 interquartile range of the B/A time ratio, the number of pairs in which B
@@ -140,8 +144,20 @@ def load(cs, seed: int):
     return run
 
 
+def pack(cs, seed: int):
+    cfg = cs.ExperimentConfig(seed=seed)
+    ds = _dataset(cs, cfg)
+
+    def run() -> float:
+        t0 = time.perf_counter()
+        cs.data.as_arrays(ds.train, cfg.bijection)
+        cs.data.as_arrays(ds.test, with_aux=False)
+        return time.perf_counter() - t0
+    return run
+
+
 UNITS = {"serve_op": serve_op, "serve_query": serve_query, "train": _train(30),
-         "train_epoch": _train(1), "setup": setup, "load": load}
+         "train_epoch": _train(1), "setup": setup, "load": load, "pack": pack}
 
 
 def worker(tree: str, unit: str, seed: int) -> None:

@@ -30,7 +30,9 @@ the sha256 of the fixture index's 2-D PCA export (save_pca_csv).
 bytes of each array, repr of the ids) of the batches the seed-0 dataset
 (n_samples=300) is packed into under each bijection: its whole_batch, its
 translation_batch and one training pass of batches() over its whole_batch
-(shuffled by default_rng(0), trailing singleton dropped).
+(shuffled by default_rng(0), trailing singleton dropped). The graphs enter as
+each batch holds them: its graph table (table_x, table_adj), hashed with every
+batch that shares it, and the int64 rows that index it (graph, aux_graph).
 
 Three header lines, `# numpy`, `# openblas` and `# openblas_core`, come
 first: the numpy version and the version and CPU core of the OpenBLAS it
